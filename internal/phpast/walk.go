@@ -1,21 +1,48 @@
 package phpast
 
+// walkStackSize is the walk stack's in-frame capacity: trees whose
+// pending-node frontier stays within it are walked without allocating.
+const walkStackSize = 64
+
 // Inspect traverses the AST rooted at node in depth-first order, calling f
 // for each node. If f returns false for a node, its children are skipped.
 // Nil nodes are ignored.
 func Inspect(node Node, f func(Node) bool) {
-	if node == nil || !f(node) {
+	if node == nil {
 		return
 	}
-	for _, child := range Children(node) {
-		Inspect(child, f)
-	}
+	var buf [walkStackSize]Node
+	walk(append(buf[:0], node), f)
 }
 
 // InspectStmts traverses each statement in list with Inspect.
 func InspectStmts(list []Stmt, f func(Node) bool) {
-	for _, s := range list {
-		Inspect(s, f)
+	var buf [walkStackSize]Node
+	stack := buf[:0]
+	for i := len(list) - 1; i >= 0; i-- {
+		if list[i] != nil {
+			stack = append(stack, list[i])
+		}
+	}
+	walk(stack, f)
+}
+
+// walk visits the nodes on stack, top first, in depth-first pre-order.
+// A visited node's children replace it on the stack in reverse, so the
+// first child is visited next.
+func walk(stack []Node, f func(Node) bool) {
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		// A VarVar's Expr is appended unchecked, so nil can reach here.
+		if n == nil || !f(n) {
+			continue
+		}
+		mark := len(stack)
+		stack = appendChildren(stack, n)
+		for i, j := mark, len(stack)-1; i < j; i, j = i+1, j-1 {
+			stack[i], stack[j] = stack[j], stack[i]
+		}
 	}
 }
 
@@ -34,127 +61,114 @@ func CountNodes(f *File) int {
 }
 
 // Children returns the direct child nodes of n in source order. It returns
-// nil for leaves. The function is exhaustive over the node types defined in
-// this package; unknown nodes yield nil.
-func Children(n Node) []Node {
+// nil for leaves.
+func Children(n Node) []Node { return appendChildren(nil, n) }
+
+// appendChildren appends the direct child nodes of n to out in source
+// order. It is exhaustive over the node types defined in this package;
+// leaves and unknown nodes append nothing.
+func appendChildren(out []Node, n Node) []Node {
 	switch x := n.(type) {
 	case *VarVar:
-		return []Node{x.Expr}
+		return append(out, x.Expr)
 	case *PropertyFetch:
-		return nodes(x.Object, x.NameExpr)
+		return appendNodes(out, x.Object, x.NameExpr)
 	case *IndexFetch:
-		return nodes(x.Base, x.Index)
+		return appendNodes(out, x.Base, x.Index)
 	case *FuncCall:
-		return argNodes(x.NameExpr, x.Args)
+		return appendArgs(appendNode(out, x.NameExpr), x.Args)
 	case *MethodCall:
-		return argNodes(nil, x.Args, x.Object, x.NameExpr)
+		return appendArgs(appendNodes(out, x.Object, x.NameExpr), x.Args)
 	case *StaticCall:
-		return argNodes(nil, x.Args)
+		return appendArgs(out, x.Args)
 	case *New:
-		return argNodes(x.ClassExpr, x.Args)
+		return appendArgs(appendNode(out, x.ClassExpr), x.Args)
 	case *Assign:
-		return nodes(x.LHS, x.RHS)
+		return appendNodes(out, x.LHS, x.RHS)
 	case *Binary:
-		return nodes(x.L, x.R)
+		return appendNodes(out, x.L, x.R)
 	case *Unary:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *IncDec:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *Ternary:
-		return nodes(x.Cond, x.Then, x.Else)
+		return appendNode(appendNodes(out, x.Cond, x.Then), x.Else)
 	case *Cast:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *InterpString:
-		return exprNodes(x.Parts)
+		return appendExprs(out, x.Parts)
 	case *ArrayLit:
-		out := make([]Node, 0, 2*len(x.Items))
 		for _, it := range x.Items {
-			out = appendNode(out, it.Key)
-			out = appendNode(out, it.Value)
+			out = appendNodes(out, it.Key, it.Value)
 		}
 		return out
 	case *ListExpr:
-		return exprNodes(x.Targets)
+		return appendExprs(out, x.Targets)
 	case *IssetExpr:
-		return exprNodes(x.Vars)
+		return appendExprs(out, x.Vars)
 	case *EmptyExpr:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *IncludeExpr:
-		return nodes(x.Path)
+		return appendNode(out, x.Path)
 	case *ExitExpr:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *PrintExpr:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *CloneExpr:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *InstanceOf:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *Closure:
-		out := make([]Node, 0, len(x.Params)+len(x.Body))
-		for _, p := range x.Params {
-			out = appendNode(out, p.Default)
-		}
-		return appendStmts(out, x.Body)
+		return appendStmts(appendDefaults(out, x.Params), x.Body)
 
 	case *ExprStmt:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *Echo:
-		return exprNodes(x.Args)
+		return appendExprs(out, x.Args)
 	case *Block:
-		return appendStmts(nil, x.List)
+		return appendStmts(out, x.List)
 	case *If:
-		out := nodes(x.Cond)
-		out = appendStmts(out, x.Then)
+		out = appendStmts(appendNode(out, x.Cond), x.Then)
 		for _, ei := range x.Elseifs {
-			out = appendNode(out, ei.Cond)
-			out = appendStmts(out, ei.Body)
+			out = appendStmts(appendNode(out, ei.Cond), ei.Body)
 		}
 		return appendStmts(out, x.Else)
 	case *While:
-		return appendStmts(nodes(x.Cond), x.Body)
+		return appendStmts(appendNode(out, x.Cond), x.Body)
 	case *DoWhile:
-		return appendNode(appendStmts(nil, x.Body), x.Cond)
+		return appendNode(appendStmts(out, x.Body), x.Cond)
 	case *For:
-		out := exprNodes(x.Init)
-		out = append(out, exprNodes(x.Cond)...)
-		out = append(out, exprNodes(x.Post)...)
+		out = appendExprs(appendExprs(appendExprs(out, x.Init), x.Cond), x.Post)
 		return appendStmts(out, x.Body)
 	case *Foreach:
-		out := nodes(x.Expr, x.Key, x.Value)
+		out = appendNode(appendNodes(out, x.Expr, x.Key), x.Value)
 		return appendStmts(out, x.Body)
 	case *Switch:
-		out := nodes(x.Cond)
+		out = appendNode(out, x.Cond)
 		for _, c := range x.Cases {
-			out = appendNode(out, c.Cond)
-			out = appendStmts(out, c.Body)
+			out = appendStmts(appendNode(out, c.Cond), c.Body)
 		}
 		return out
 	case *Return:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *StaticVars:
-		var out []Node
 		for _, v := range x.Vars {
 			out = appendNode(out, v.Default)
 		}
 		return out
 	case *Unset:
-		return exprNodes(x.Vars)
+		return appendExprs(out, x.Vars)
 	case *Throw:
-		return nodes(x.X)
+		return appendNode(out, x.X)
 	case *Try:
-		out := appendStmts(nil, x.Body)
+		out = appendStmts(out, x.Body)
 		for _, c := range x.Catches {
 			out = appendStmts(out, c.Body)
 		}
 		return appendStmts(out, x.Finally)
 	case *FuncDecl:
-		out := make([]Node, 0, len(x.Params)+len(x.Body))
-		for _, p := range x.Params {
-			out = appendNode(out, p.Default)
-		}
-		return appendStmts(out, x.Body)
+		return appendStmts(appendDefaults(out, x.Params), x.Body)
 	case *ClassDecl:
-		var out []Node
 		for _, p := range x.Props {
 			out = appendNode(out, p.Default)
 		}
@@ -162,44 +176,39 @@ func Children(n Node) []Node {
 			out = appendNode(out, c.Value)
 		}
 		for _, m := range x.Methods {
-			for _, p := range m.Params {
-				out = appendNode(out, p.Default)
-			}
-			out = appendStmts(out, m.Body)
+			out = appendStmts(appendDefaults(out, m.Params), m.Body)
 		}
 		return out
 	default:
-		return nil
+		return out
 	}
 }
 
-// nodes collects the non-nil expressions into a node slice.
-func nodes(exprs ...Expr) []Node {
-	out := make([]Node, 0, len(exprs))
+// appendNodes appends the non-nil expressions of a pair.
+func appendNodes(out []Node, a, b Expr) []Node {
+	return appendNode(appendNode(out, a), b)
+}
+
+// appendExprs appends the non-nil expressions of a slice.
+func appendExprs(out []Node, exprs []Expr) []Node {
 	for _, e := range exprs {
 		out = appendNode(out, e)
 	}
 	return out
 }
 
-// exprNodes converts an expression slice to nodes, skipping nils.
-func exprNodes(exprs []Expr) []Node {
-	out := make([]Node, 0, len(exprs))
-	for _, e := range exprs {
-		out = appendNode(out, e)
-	}
-	return out
-}
-
-// argNodes collects pre-expressions, then argument values.
-func argNodes(pre Expr, args []Arg, more ...Expr) []Node {
-	out := make([]Node, 0, len(args)+len(more)+1)
-	for _, e := range more {
-		out = appendNode(out, e)
-	}
-	out = appendNode(out, pre)
+// appendArgs appends the non-nil argument values.
+func appendArgs(out []Node, args []Arg) []Node {
 	for _, a := range args {
 		out = appendNode(out, a.Value)
+	}
+	return out
+}
+
+// appendDefaults appends the non-nil parameter default values.
+func appendDefaults(out []Node, params []Param) []Node {
+	for _, p := range params {
+		out = appendNode(out, p.Default)
 	}
 	return out
 }

@@ -7,34 +7,21 @@ import (
 	"testing"
 )
 
-// benchSource builds a representative plugin file: markup, functions,
+// benchSourcePath is a representative plugin file: markup, functions,
 // a class with methods, superglobal reads, interpolated SQL and echo
 // sinks — the token mix the corpus actually exercises. It is synthetic
-// so the benchmark has no testdata dependency and a stable size.
-func benchSource() string {
-	var b strings.Builder
-	b.WriteString("<html><body>\n<?php\n")
-	for i := 0; i < 40; i++ {
-		n := strconv.Itoa(i)
-		b.WriteString("function handler_" + n + "($req) {\n")
-		b.WriteString("    $id = $_GET['id_" + n + "'];\n")
-		b.WriteString("    $name = mysql_real_escape_string($req['name']);\n")
-		b.WriteString("    $sql = \"SELECT * FROM t_" + n + " WHERE id = $id AND name = '$name'\";\n")
-		b.WriteString("    $res = mysql_query($sql);\n")
-		b.WriteString("    if ($res && count($res) > " + n + ") {\n")
-		b.WriteString("        echo \"<div id='row-{$id}'>\" . htmlentities($name) . '</div>';\n")
-		b.WriteString("    }\n")
-		b.WriteString("    return $res; // per-row handler\n")
-		b.WriteString("}\n")
+// with a stable size; the parser's allocation gate and the AST walk
+// test read it too.
+const benchSourcePath = "testdata/bench.php"
+
+// benchSource returns the contents of benchSourcePath.
+func benchSource(tb testing.TB) string {
+	tb.Helper()
+	src, err := os.ReadFile(benchSourcePath)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.WriteString("class Plugin_Widget {\n")
-	b.WriteString("    var $options = array('a' => 1, 'b' => 2);\n")
-	b.WriteString("    function render($attrs) {\n")
-	b.WriteString("        foreach ($attrs as $k => $v) { echo $k . '=' . $v; }\n")
-	b.WriteString("        return (int)$this->options['a'];\n")
-	b.WriteString("    }\n")
-	b.WriteString("}\n?>\n</body></html>\n")
-	return b.String()
+	return string(src)
 }
 
 // BenchmarkLexAllocs is the allocation gate for the lexer hot path:
@@ -43,7 +30,7 @@ func benchSource() string {
 // testdata/lex_allocs_baseline.txt and fails on a >10% regression
 // (TestLexAllocsGate enforces the same bound without needing -bench).
 func BenchmarkLexAllocs(b *testing.B) {
-	src := benchSource()
+	src := benchSource(b)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(src)))
 	for i := 0; i < b.N; i++ {
@@ -53,8 +40,8 @@ func BenchmarkLexAllocs(b *testing.B) {
 
 // lexAllocsPerOp measures steady-state allocations per TokenizeCode +
 // PutTokens cycle, after a warm-up pass that populates the buffer pool.
-func lexAllocsPerOp() float64 {
-	src := benchSource()
+func lexAllocsPerOp(t *testing.T) float64 {
+	src := benchSource(t)
 	PutTokens(TokenizeCode(src))
 	return testing.AllocsPerRun(200, func() {
 		PutTokens(TokenizeCode(src))
@@ -67,7 +54,7 @@ func lexAllocsPerOp() float64 {
 // after an intentional change.
 func TestLexAllocsGate(t *testing.T) {
 	const baselinePath = "testdata/lex_allocs_baseline.txt"
-	got := lexAllocsPerOp()
+	got := lexAllocsPerOp(t)
 	if os.Getenv("UPDATE_ALLOCS_BASELINE") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

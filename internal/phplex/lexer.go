@@ -709,9 +709,11 @@ func (l *Lexer) lexHeredocBody() phptoken.Token {
 }
 
 // atHeredocEnd reports whether the cursor sits at the start of a line whose
-// content is the heredoc terminator label.
+// content is the heredoc terminator label. A heredoc opened without a
+// label has no terminator and runs to the end of input; matching the
+// empty label would emit an empty EndHeredoc token.
 func (l *Lexer) atHeredocEnd(label string) bool {
-	if l.pos != 0 && l.src[l.pos-1] != '\n' {
+	if label == "" || (l.pos != 0 && l.src[l.pos-1] != '\n') {
 		return false
 	}
 	if !strings.HasPrefix(l.src[l.pos:], label) {
@@ -765,12 +767,15 @@ func (l *Lexer) castAhead() (phptoken.Kind, int, bool) {
 	return k, i + 1 - l.pos, true
 }
 
-// operators lists multi-character operators longest-first so the scanner
-// can use simple prefix matching.
-var operators = []struct {
+// operator is one punctuation or operator spelling and its token kind.
+type operator struct {
 	text string
 	kind phptoken.Kind
-}{
+}
+
+// operators lists multi-character operators longest-first so that the
+// first entry whose text prefixes the input is the longest match.
+var operators = []operator{
 	{"===", phptoken.IsIdentical},
 	{"!==", phptoken.IsNotIdentical},
 	{"<<=", phptoken.ShlAssign},
@@ -824,12 +829,25 @@ var operators = []struct {
 	{"\\", phptoken.Backslash},
 }
 
-// lexOperator scans punctuation and operators with longest-match-first.
-func (l *Lexer) lexOperator(start int) phptoken.Token {
+// operatorsByByte buckets operators by their first byte, keeping the
+// longest-first order within each bucket. lexOperator only tries the
+// handful of entries that can match at the cursor.
+var operatorsByByte = func() (table [128][]operator) {
 	for _, op := range operators {
-		if l.hasPrefix(op.text) {
-			l.advance(len(op.text))
-			return l.token(op.kind, start)
+		table[op.text[0]] = append(table[op.text[0]], op)
+	}
+	return table
+}()
+
+// lexOperator scans punctuation and operators with longest-match-first.
+// A byte no operator starts with becomes a one-byte Invalid token.
+func (l *Lexer) lexOperator(start int) phptoken.Token {
+	if c := l.src[start]; c < 128 {
+		for _, op := range operatorsByByte[c] {
+			if l.hasPrefix(op.text) {
+				l.advance(len(op.text))
+				return l.token(op.kind, start)
+			}
 		}
 	}
 	l.advance(1)

@@ -5,4 +5,4 @@ package phplex
 // the token taxonomy or to how source text is split into tokens must bump
 // it: artifacts derived from an older lexical model would otherwise be
 // replayed against ASTs the current lexer would no longer produce.
-const Version = "phplex-1"
+const Version = "phplex-2"

@@ -167,8 +167,16 @@ func (p *parser) next() phptoken.Token {
 	return t
 }
 
+// kind returns the current token's kind without copying the token.
+func (p *parser) kind() phptoken.Kind {
+	if p.pos >= len(p.toks) {
+		return p.toks[len(p.toks)-1].Kind
+	}
+	return p.toks[p.pos].Kind
+}
+
 // at reports whether the current token has kind k.
-func (p *parser) at(k phptoken.Kind) bool { return p.cur().Kind == k }
+func (p *parser) at(k phptoken.Kind) bool { return p.kind() == k }
 
 // accept consumes the current token when it has kind k.
 func (p *parser) accept(k phptoken.Kind) bool {
@@ -1087,7 +1095,7 @@ func (p *parser) parseAssign() phpast.Expr {
 
 // parseTernary parses cond ? then : else and the short ?: form.
 func (p *parser) parseTernary() phpast.Expr {
-	cond := p.parseBinary(0)
+	cond := p.parseBinary(1)
 	if !p.at(phptoken.Question) {
 		return cond
 	}
@@ -1124,30 +1132,40 @@ var binaryLevels = [][]struct {
 	{{phptoken.Star, "*"}, {phptoken.Slash, "/"}, {phptoken.Percent, "%"}},
 }
 
-// parseBinary parses binary operators at the given precedence level and
-// tighter.
-func (p *parser) parseBinary(level int) phpast.Expr {
-	if level >= len(binaryLevels) {
-		return p.parseUnary()
-	}
-	left := p.parseBinary(level + 1)
-	for {
-		matched := false
-		for _, cand := range binaryLevels[level] {
-			if p.at(cand.kind) {
-				line := p.next().Line
-				right := p.parseBinary(level + 1)
-				left = &phpast.Binary{
-					Op: cand.op, L: left, R: right,
-					Position: phpast.NewPosition(line),
-				}
-				matched = true
-				break
-			}
+// binaryOp is a binary operator's entry in binaryOps: its spelling and
+// its binding level, 1 for the loosest; level 0 marks a kind that is not
+// a binary operator.
+type binaryOp struct {
+	op    string
+	level int
+}
+
+// binaryOps is binaryLevels indexed by token kind.
+var binaryOps = func() []binaryOp {
+	table := make([]binaryOp, phptoken.KindCount())
+	for i, level := range binaryLevels {
+		for _, cand := range level {
+			table[cand.kind] = binaryOp{op: cand.op, level: i + 1}
 		}
-		if !matched {
+	}
+	return table
+}()
+
+// parseBinary parses a chain of binary operators that bind at minLevel
+// or tighter, by precedence climbing: every level is left-associative,
+// so an operator's right operand takes only operators one level tighter
+// and the loop folds the rest onto the left.
+func (p *parser) parseBinary(minLevel int) phpast.Expr {
+	left := p.parseUnary()
+	for {
+		op := binaryOps[p.kind()]
+		if op.level < minLevel { // non-operators have level 0
 			return left
 		}
+		line := p.toks[p.pos].Line
+		p.pos++
+		right := p.parseBinary(op.level + 1)
+		left = &phpast.Binary{Op: op.op, L: left, R: right, Position: phpast.NewPosition(line)}
 	}
 }
 

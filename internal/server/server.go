@@ -661,6 +661,9 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	}
 	s.addScanLocked(sc)
 	s.active[key] = sc.ID
+	// The 202 envelope describes the scan as accepted: once the pool has
+	// the job a worker may already have started it.
+	view := sc.viewLocked()
 	s.mu.Unlock()
 
 	// Record acceptance before the pool sees the job: a worker may
@@ -698,9 +701,6 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	s.log.Info("scan accepted",
 		"scan_id", sc.ID, "target", sc.Target.Name, "tool", sc.Tool,
 		"profile", sc.Profile, "files", len(sc.Target.Files))
-	s.mu.Lock()
-	view := sc.viewLocked()
-	s.mu.Unlock()
 	return sc.ID, http.StatusAccepted, view
 }
 
@@ -1138,7 +1138,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("scan is %s; %s is only available for finished scans", view.Status, format))
 		return
 	}
+	// Render into memory and record the event before writing the body:
+	// a client that reads the body and then fetches the trace must find
+	// the rendered event already there.
 	renderStart := s.now()
+	var body []byte
 	switch format {
 	case "sarif":
 		data, err := report.SARIF(view.Result)
@@ -1146,11 +1150,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			s.error(w, http.StatusInternalServerError, err.Error())
 			return
 		}
+		body = data
 		w.Header().Set("Content-Type", "application/sarif+json")
-		w.Write(data)
 	case "html":
+		body = []byte(report.HTML(view.Result))
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		io.WriteString(w, report.HTML(view.Result))
 	default:
 		s.error(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want json, sarif or html)", format))
 		return
@@ -1160,6 +1164,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.recordEvent(obs.Event{
 		Scan: view.ID, Type: evRendered, Detail: format, DurMS: elapsed.Milliseconds(),
 	})
+	w.Write(body)
 }
 
 // engineFingerprint returns the engine's self-reported configuration

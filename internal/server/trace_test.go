@@ -297,6 +297,46 @@ func TestTraceGolden(t *testing.T) {
 	}
 }
 
+// TestRenderedEventBeforeBody fetches a finished scan as SARIF and then
+// its trace, back to back: every render must already be on the
+// timeline when the client holds the response, so the trace always
+// counts one rendered event per fetch so far.
+func TestRenderedEventBeforeBody(t *testing.T) {
+	e := newTraceEnv(t, obs.NewManualClock(traceOrigin), "rend")
+	status, sc := e.submitJSON(t, traceSubmission("render-plugin", "render"))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", status)
+	}
+	waitScanEvent(t, e.rec, sc.ID, evSettled)
+	for i := 1; i <= 50; i++ {
+		resp, err := http.Get(e.ts.URL + "/v1/scans/" + sc.ID + "?format=sarif")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("render sarif = %d, want 200", resp.StatusCode)
+		}
+		var doc struct {
+			Events []struct {
+				Type string `json:"type"`
+			} `json:"events"`
+		}
+		if err := json.Unmarshal(getTraceRaw(t, e, sc.ID), &doc); err != nil {
+			t.Fatal(err)
+		}
+		rendered := 0
+		for _, ev := range doc.Events {
+			if ev.Type == evRendered {
+				rendered++
+			}
+		}
+		if rendered != i {
+			t.Fatalf("after %d sarif fetches the trace holds %d rendered events", i, rendered)
+		}
+	}
+}
+
 // TestTraceTimelineOrder asserts the invariant CI smoke-checks over
 // the wire: a settled scan's timeline starts accepted → queued →
 // attempt_started and ends with settled.

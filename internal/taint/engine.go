@@ -447,9 +447,10 @@ func (a *analysis) run() {
 // analyzed, reproducing the paper's phpSAFE failures (1 file in the 2012
 // corpus, 3 in 2014).
 func (a *analysis) failOversizedFiles() map[string]bool {
+	includes := a.resolvedIncludes()
 	failed := make(map[string]bool)
 	for _, path := range a.fileOrder {
-		size := a.includeClosureSize(path, make(map[string]bool))
+		size := includeClosureSize(includes, path, make(map[string]bool))
 		if size > a.opts.IncludeBudget {
 			failed[path] = true
 			a.result.FilesFailed = append(a.result.FilesFailed, path)
@@ -461,27 +462,38 @@ func (a *analysis) failOversizedFiles() map[string]bool {
 	return failed
 }
 
-// includeClosureSize counts the transitive include closure of path.
-func (a *analysis) includeClosureSize(path string, seen map[string]bool) int {
+// resolvedIncludes walks every file once and lists the targets of its
+// include expressions that resolve to a scanned file, in walk order and
+// with repeats: one entry per resolved include expression.
+func (a *analysis) resolvedIncludes() map[string][]string {
+	includes := make(map[string][]string, len(a.files))
+	for path, f := range a.files {
+		var targets []string
+		phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
+			if inc, ok := n.(*phpast.IncludeExpr); ok {
+				if target, resolved := a.resolveIncludePath(path, inc.Path); resolved {
+					targets = append(targets, target)
+				}
+			}
+			return true
+		})
+		includes[path] = targets
+	}
+	return includes
+}
+
+// includeClosureSize counts the transitive include closure of path over
+// the per-file include lists: each resolved include expression counts 1
+// plus the closure of a target not seen before.
+func includeClosureSize(includes map[string][]string, path string, seen map[string]bool) int {
 	if seen[path] {
 		return 0
 	}
 	seen[path] = true
-	f, ok := a.files[path]
-	if !ok {
-		return 0
-	}
 	count := 0
-	phpast.InspectStmts(f.Stmts, func(n phpast.Node) bool {
-		inc, ok := n.(*phpast.IncludeExpr)
-		if !ok {
-			return true
-		}
-		if target, resolved := a.resolveIncludePath(path, inc.Path); resolved {
-			count += 1 + a.includeClosureSize(target, seen)
-		}
-		return true
-	})
+	for _, target := range includes[path] {
+		count += 1 + includeClosureSize(includes, target, seen)
+	}
 	return count
 }
 
