@@ -24,12 +24,17 @@
 // over N appends (process-crash-safe; power loss may lose the last
 // N-1 records); negative never syncs explicitly.
 //
-// Compaction. Compact rewrites the snapshot from the caller's live
-// record set (atomically: temp file, fsync, rename) and resets the
-// WAL. The snapshot's first line is a meta record carrying the highest
-// sequence number it covers, so a crash between the rename and the WAL
-// reset is harmless: replay skips WAL records the snapshot already
-// absorbed.
+// Compaction. CompactAt rewrites the snapshot from the caller's live
+// record set as of a Mark (a journal position: sequence number plus WAL
+// length) and then replaces the WAL with the bytes appended after that
+// mark. The snapshot is encoded, written and fsynced without holding
+// the append lock, so appends proceed while it is written; only the
+// rename and the WAL swap (temp file, fsync, rename, directory fsync,
+// reopen) hold it. The snapshot's first line is a meta record carrying
+// the mark's sequence number as its horizon, so a crash at any step is
+// harmless: before the rename the old snapshot and the full WAL remain;
+// after it replay skips WAL records at or below the horizon; after the
+// swap the WAL holds exactly the records above it.
 //
 // Failure. The journal is an aid, never a gate: when the disk fails
 // mid-flight the journal flips to degraded (Degraded reports it,
@@ -40,11 +45,13 @@
 package durable
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -96,19 +103,24 @@ const (
 // Record is one journal line. Payload is opaque to the journal; the
 // server stores its submission and result envelopes there.
 type Record struct {
-	Seq       uint64          `json:"seq"`
-	Type      RecordType      `json:"type"`
-	Time      time.Time       `json:"time"`
-	ScanID    string          `json:"scan,omitempty"`
-	Attempt   int             `json:"attempt,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	BackoffMS int64           `json:"backoff_ms,omitempty"`
+	Seq       uint64     `json:"seq"`
+	Type      RecordType `json:"type"`
+	Time      time.Time  `json:"time"`
+	ScanID    string     `json:"scan,omitempty"`
+	Attempt   int        `json:"attempt,omitempty"`
+	Error     string     `json:"error,omitempty"`
+	BackoffMS int64      `json:"backoff_ms,omitempty"`
 	// Worker names the fleet worker that executed the transition, when
 	// the daemon runs as a coordinator; empty in standalone mode. It
 	// makes the journal a forensic record of where each scan actually
 	// ran across ownership handoffs.
 	Worker  string          `json:"worker,omitempty"`
 	Payload json.RawMessage `json:"payload,omitempty"`
+	// PayloadValue, when Payload is empty, is marshalled as the payload
+	// when the record is written: the same bytes as marshalling it into
+	// Payload first, in one pass and without the lock appends share.
+	// Replayed records carry Payload only.
+	PayloadValue any `json:"-"`
 }
 
 // ErrDegraded is returned by Append once the journal has flipped to
@@ -141,13 +153,31 @@ type Journal struct {
 	rec *obs.Recorder
 	log *slog.Logger
 
-	mu          sync.Mutex
-	wal         *os.File
-	seq         uint64
-	unsynced    int
-	walBytes    int64
+	// compactMu admits one compaction at a time (there is one snapshot
+	// temp file and one WAL swap) and makes Close wait for it.
+	compactMu sync.Mutex
+
+	mu       sync.Mutex
+	wal      *os.File
+	seq      uint64
+	unsynced int
+	walBytes int64
+	// snapBytes is the size of the snapshot last written or replayed.
+	snapBytes int64
+	// gen counts WAL swaps, so a mark taken before one is recognised
+	// as stale.
+	gen         uint64
 	degraded    bool
 	degradedErr error
+}
+
+// Mark is a journal position: the sequence number and WAL length at
+// one instant. A compaction at a mark snapshots the state as of the
+// mark and carries every WAL byte appended after it.
+type Mark struct {
+	seq    uint64
+	walLen int64
+	gen    uint64
 }
 
 // Open opens (creating if needed) the journal in dir and replays it:
@@ -167,10 +197,11 @@ func Open(dir string, opt Options) (*Journal, []Record, error) {
 	}
 	j := &Journal{dir: dir, opt: opt, rec: opt.Recorder, log: logger.With("component", "journal")}
 
-	snapRecs, _, err := readLog(filepath.Join(dir, snapName), j.rec)
+	snapRecs, snapLen, err := readLog(filepath.Join(dir, snapName), j.rec)
 	if err != nil {
 		return nil, nil, err
 	}
+	j.snapBytes = snapLen
 	// The snapshot's meta record tells us which WAL records it already
 	// absorbed (a crash between snapshot rename and WAL reset leaves
 	// them behind).
@@ -286,15 +317,44 @@ func parseLine(line []byte) (Record, bool) {
 
 // encodeLine renders a record as its CRC-guarded journal line.
 func encodeLine(r Record) ([]byte, error) {
-	body, err := json.Marshal(r)
+	payload, err := marshalPayloadValue(r)
 	if err != nil {
 		return nil, err
 	}
-	line := make([]byte, 0, len(body)+10)
-	line = append(line, fmt.Sprintf("%08x ", crc32.ChecksumIEEE(body))...)
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
+	return frameLine(r, payload)
+}
+
+// marshalPayloadValue marshals r.PayloadValue when it stands in for an
+// empty Payload; otherwise it returns nil.
+func marshalPayloadValue(r Record) ([]byte, error) {
+	if r.PayloadValue == nil || len(r.Payload) > 0 {
+		return nil, nil
+	}
+	return json.Marshal(r.PayloadValue)
+}
+
+// frameLine renders r as "crc8hex json\n". A non-nil payload is r's
+// PayloadValue as marshalPayloadValue produced it — compact, valid and
+// HTML-escaped by construction — and is spliced in as the last field:
+// exactly the bytes json.Marshal emits for it as a RawMessage, which it
+// would otherwise re-scan byte by byte to validate.
+func frameLine(r Record, payload []byte) ([]byte, error) {
+	head, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	line := make([]byte, 9, 9+len(head)+len(payload)+len(`,"payload":`)+1)
+	if payload == nil {
+		line = append(line, head...)
+	} else {
+		line = append(line, head[:len(head)-1]...)
+		line = append(line, `,"payload":`...)
+		line = append(line, payload...)
+		line = append(line, '}')
+	}
+	// The checksum prefix fills the 9 bytes reserved in place.
+	fmt.Appendf(line[:0], "%08x ", crc32.ChecksumIEEE(line[9:]))
+	return append(line, '\n'), nil
 }
 
 // Append journals one record, assigning its sequence number and
@@ -302,6 +362,12 @@ func encodeLine(r Record) ([]byte, error) {
 // journal is degraded and Append returns ErrDegraded without touching
 // the disk; it never blocks on a broken device.
 func (j *Journal) Append(r Record) error {
+	start := time.Now()
+	// The payload, the bulk of a record, is marshalled before the lock.
+	payload, err := marshalPayloadValue(r)
+	if err != nil {
+		return fmt.Errorf("durable: encoding record: %w", err)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.degraded {
@@ -312,11 +378,11 @@ func (j *Journal) Append(r Record) error {
 	if r.Time.IsZero() {
 		r.Time = time.Now().UTC()
 	}
-	line, err := encodeLine(r)
+	line, err := frameLine(r, payload)
 	if err != nil {
 		return fmt.Errorf("durable: encoding record: %w", err)
 	}
-	if err := j.faultLocked("append", j.wal.Name()); err != nil {
+	if err := j.fault("append", j.wal.Name()); err != nil {
 		return j.degradeLocked(err)
 	}
 	if _, err := j.wal.Write(line); err != nil {
@@ -324,6 +390,7 @@ func (j *Journal) Append(r Record) error {
 	}
 	j.walBytes += int64(len(line))
 	j.count("journal_appends_total")
+	j.add("journal_appended_bytes_total", int64(len(line)))
 	j.unsynced++
 	every := j.opt.SyncEvery
 	if every == 0 {
@@ -334,86 +401,221 @@ func (j *Journal) Append(r Record) error {
 			return j.degradeLocked(err)
 		}
 	}
+	j.observe("journal_append_seconds", start)
 	return nil
 }
 
 // syncLocked fsyncs the WAL; caller holds j.mu.
 func (j *Journal) syncLocked() error {
-	if err := j.faultLocked("fsync", j.wal.Name()); err != nil {
+	if err := j.fault("fsync", j.wal.Name()); err != nil {
 		return err
 	}
+	start := time.Now()
 	if err := j.wal.Sync(); err != nil {
 		return err
 	}
+	j.observe("journal_fsync_seconds", start)
 	j.unsynced = 0
 	j.count("journal_fsyncs_total")
 	return nil
 }
 
-// Compact atomically replaces the snapshot with the live record set
-// and resets the WAL. Callers pass the minimal records that
-// reconstruct current state (typically one accepted plus one terminal
-// record per retained scan); sequence numbers are reassigned.
-func (j *Journal) Compact(live []Record) error {
+// Mark returns the current journal position for a later CompactAt.
+// Take it while no record the caller's live set omits can be appended
+// before it.
+func (j *Journal) Mark() Mark {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.degraded {
+	return Mark{seq: j.seq, walLen: j.walBytes, gen: j.gen}
+}
+
+// Compact compacts at the current position: live must reconstruct
+// every record journaled so far.
+func (j *Journal) Compact(live []Record) error {
+	j.compactMu.Lock()
+	defer j.compactMu.Unlock()
+	return j.compactLocked(j.Mark(), func(yield func(Record) bool) {
+		for _, r := range live {
+			if !yield(r) {
+				return
+			}
+		}
+	})
+}
+
+// CompactAt replaces the snapshot with live, the minimal records that
+// reconstruct the state as of m (typically one accepted plus one
+// terminal record per retained scan; sequence numbers are reassigned),
+// and the WAL with the records appended after m. live is consumed
+// while the snapshot is written, without the append lock held, so it
+// may marshal payloads as it goes. Compactions run one at a time; a
+// mark taken before another compaction's WAL swap is rejected.
+func (j *Journal) CompactAt(m Mark, live func(yield func(Record) bool)) error {
+	j.compactMu.Lock()
+	defer j.compactMu.Unlock()
+	return j.compactLocked(m, live)
+}
+
+// compactLocked is CompactAt; caller holds j.compactMu.
+func (j *Journal) compactLocked(m Mark, live func(yield func(Record) bool)) error {
+	start := time.Now()
+	j.mu.Lock()
+	degraded, stale := j.degraded, m.gen != j.gen
+	j.mu.Unlock()
+	if degraded {
 		return ErrDegraded
 	}
-	// The meta record pins the sequence horizon: every WAL record with
-	// Seq <= the horizon is absorbed by this snapshot, and a reopened
-	// journal resumes numbering above it. Live records get fresh
-	// sequence numbers under that horizon (the max() keeps the horizon
-	// sound even if the caller hands us more records than were ever
-	// journaled).
-	horizon := j.seq
-	if n := uint64(len(live)); n > horizon {
-		horizon = n
+	if stale {
+		// Its WAL offset points into a WAL that no longer exists.
+		return errors.New("durable: compaction mark predates the last compaction")
 	}
-	recs := make([]Record, 0, len(live)+1)
-	recs = append(recs, Record{Seq: horizon, Type: recSnapshot, Time: time.Now().UTC()})
-	for i, r := range live {
-		r.Seq = uint64(i + 1)
-		if r.Time.IsZero() {
-			r.Time = time.Now().UTC()
-		}
-		recs = append(recs, r)
-	}
+
+	// The meta record pins the horizon at the mark: every WAL record with
+	// Seq <= it is absorbed by this snapshot, and every record appended
+	// after the mark numbers above it, so replay keeps them. Live records
+	// get fresh sequence numbers; replay filters only the WAL, so they
+	// may exceed the horizon without hiding anything.
 	tmp := filepath.Join(j.dir, snapName+".tmp")
-	if err := j.writeSnapshotLocked(tmp, recs); err != nil {
+	size, err := j.writeSnapshot(tmp, m.seq, live)
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err != nil {
 		return j.degradeLocked(err)
 	}
-	if err := j.faultLocked("rename", tmp); err != nil {
+	if j.degraded {
+		os.Remove(tmp)
+		return ErrDegraded
+	}
+	if err := j.fault("rename", tmp); err != nil {
 		return j.degradeLocked(err)
 	}
 	if err := os.Rename(tmp, filepath.Join(j.dir, snapName)); err != nil {
 		return j.degradeLocked(err)
 	}
-	// Make the rename durable before touching the WAL: if the truncate
-	// persisted while the rename did not, power loss would leave an
-	// empty WAL beside the stale snapshot — the whole journal gone.
+	// Make the rename durable before touching the WAL: if the swap
+	// persisted while the rename did not, power loss would leave only
+	// the tail beside the stale snapshot.
 	if err := j.syncDirLocked(); err != nil {
 		return j.degradeLocked(err)
 	}
-	if err := j.wal.Truncate(0); err != nil {
+	j.snapBytes = size
+	j.add("journal_snapshot_bytes_total", size)
+	if err := j.swapWALLocked(m.walLen); err != nil {
 		return j.degradeLocked(err)
 	}
-	if _, err := j.wal.Seek(0, 0); err != nil {
-		return j.degradeLocked(err)
-	}
-	if err := j.syncLocked(); err != nil {
-		return j.degradeLocked(err)
-	}
-	j.seq = horizon
-	j.walBytes = 0
 	j.count("journal_compactions_total")
+	j.observe("journal_compaction_seconds", start)
 	return nil
 }
 
-// syncDirLocked fsyncs the journal directory, making the snapshot
-// rename (a directory-metadata operation) durable; caller holds j.mu.
+// writeSnapshot writes and fsyncs one snapshot file: the meta record
+// at horizon, then live, numbered from 1. It returns the bytes written.
+// It holds no journal lock.
+func (j *Journal) writeSnapshot(path string, horizon uint64, live func(yield func(Record) bool)) (int64, error) {
+	if err := j.fault("snapshot", path); err != nil {
+		return 0, err
+	}
+	now := time.Now().UTC()
+	var size int64
+	err := writeSynced(path, func(w io.Writer) error {
+		put := func(r Record) error {
+			line, err := encodeLine(r)
+			if err != nil {
+				return err
+			}
+			size += int64(len(line))
+			_, err = w.Write(line)
+			return err
+		}
+		err := put(Record{Seq: horizon, Type: recSnapshot, Time: now})
+		var seq uint64
+		if err == nil {
+			live(func(r Record) bool {
+				seq++
+				r.Seq = seq
+				if r.Time.IsZero() {
+					r.Time = now
+				}
+				err = put(r)
+				return err == nil
+			})
+		}
+		return err
+	})
+	return size, err
+}
+
+// writeSynced creates path, writes it through fill and fsyncs it.
+func writeSynced(path string, fill func(w io.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	err = fill(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// swapWALLocked replaces the WAL with its bytes from offset from on:
+// temp file, fsync, rename, directory fsync, reopen for append. Caller
+// holds j.mu. A crash before the rename leaves the full WAL, whose
+// records the new snapshot's horizon filters; after it, the tail.
+func (j *Journal) swapWALLocked(from int64) error {
+	path := filepath.Join(j.dir, walName)
+	if err := j.fault("walswap", path); err != nil {
+		return err
+	}
+	tail := make([]byte, j.walBytes-from)
+	if len(tail) > 0 {
+		old, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		_, err = old.ReadAt(tail, from)
+		old.Close()
+		if err != nil {
+			return err
+		}
+	}
+	tmp := path + ".tmp"
+	if err := writeSynced(tmp, func(w io.Writer) error {
+		_, err := w.Write(tail)
+		return err
+	}); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	if err := j.syncDirLocked(); err != nil {
+		return err
+	}
+	wal, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	j.wal.Close()
+	j.wal = wal
+	j.walBytes = int64(len(tail))
+	j.unsynced = 0
+	j.gen++
+	return nil
+}
+
+// syncDirLocked fsyncs the journal directory, making a rename (a
+// directory-metadata operation) durable; caller holds j.mu.
 func (j *Journal) syncDirLocked() error {
-	if err := j.faultLocked("syncdir", j.dir); err != nil {
+	if err := j.fault("syncdir", j.dir); err != nil {
 		return err
 	}
 	d, err := os.Open(j.dir)
@@ -424,35 +626,8 @@ func (j *Journal) syncDirLocked() error {
 	return d.Sync()
 }
 
-// writeSnapshotLocked writes and fsyncs one snapshot file.
-func (j *Journal) writeSnapshotLocked(path string, recs []Record) error {
-	if err := j.faultLocked("snapshot", path); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		line, err := encodeLine(r)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.Write(line); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// faultLocked consults the test-only disk fault hook.
-func (j *Journal) faultLocked(op, path string) error {
+// fault consults the test-only disk fault hook.
+func (j *Journal) fault(op, path string) error {
 	if hook := govern.IOFaultHookForTesting; hook != nil {
 		return hook(op, path)
 	}
@@ -493,8 +668,20 @@ func (j *Journal) WALBytes() int64 {
 	return j.walBytes
 }
 
-// Close fsyncs and closes the WAL. The journal must not be used after.
+// SnapshotBytes returns the size of the snapshot last written or
+// replayed. Compacting once the WAL has grown past it keeps the bytes
+// compaction writes within about the bytes appended.
+func (j *Journal) SnapshotBytes() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.snapBytes
+}
+
+// Close waits for a running compaction, then fsyncs and closes the
+// WAL. The journal must not be used after.
 func (j *Journal) Close() error {
+	j.compactMu.Lock()
+	defer j.compactMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.degraded {
@@ -513,6 +700,13 @@ func (j *Journal) count(name string) { j.add(name, 1) }
 func (j *Journal) add(name string, n int64) {
 	if j.rec != nil {
 		j.rec.Counter(name).Add(n)
+	}
+}
+
+// observe records the seconds since start in the named histogram.
+func (j *Journal) observe(name string, start time.Time) {
+	if j.rec != nil {
+		j.rec.Observe(name, time.Since(start).Seconds())
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/govern"
 	"repro/internal/obs"
@@ -413,5 +415,57 @@ func TestSyncEveryBatchesFsyncs(t *testing.T) {
 	}
 	if n := rec.Snapshot().Counters["journal_fsyncs_total"]; n != 3 {
 		t.Errorf("journal_fsyncs_total after close = %d, want 3", n)
+	}
+}
+
+// A record whose payload the journal marshals from PayloadValue encodes
+// to exactly the line the same payload produces marshalled into
+// Payload first, the way every record was encoded before: one format,
+// whichever way the caller hands the payload over.
+func TestEncodeLineMatchesRawPayloadEncoding(t *testing.T) {
+	t.Parallel()
+	legacy := func(r Record) string {
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(body), body)
+	}
+	when := time.Date(2015, 6, 22, 10, 4, 5, 123456789, time.UTC)
+	values := []any{
+		map[string]any{"html": "<script>a && b</script>", "sep": "\u2028\u2029", "nested": []any{1.5, nil, true}},
+		struct {
+			Bytes []byte    `json:"bytes"`
+			When  time.Time `json:"when"`
+			Skip  string    `json:"skip,omitempty"`
+		}{Bytes: []byte("\xff\xfe\x80 latin1"), When: when},
+		"plain string with \"quotes\" and \\ backslashes\n",
+		[]string{},
+		0,
+	}
+	for i, v := range values {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := Record{Seq: uint64(i + 1), Type: RecCompleted, Time: when, ScanID: "s", Attempt: 2, Error: "x<y", Worker: "w:1"}
+		withValue, withRaw := base, base
+		withValue.PayloadValue = v
+		withRaw.Payload = raw
+		got, err := encodeLine(withValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := legacy(withRaw); string(got) != want {
+			t.Errorf("value %d:\ngot  %q\nwant %q", i, got, want)
+		}
+		if got, _ := encodeLine(withRaw); string(got) != legacy(withRaw) {
+			t.Errorf("raw payload %d:\ngot  %q\nwant %q", i, got, legacy(withRaw))
+		}
+	}
+	// No payload at all omits the field, as before.
+	bare := Record{Seq: 9, Type: RecStarted, Time: when, ScanID: "s", Attempt: 1}
+	if got, _ := encodeLine(bare); string(got) != legacy(bare) {
+		t.Errorf("bare record:\ngot  %q\nwant %q", got, legacy(bare))
 	}
 }

@@ -56,9 +56,8 @@ type resultPayload struct {
 	Error  string              `json:"error,omitempty"`
 }
 
-// acceptedRecord builds the submission record for sc. Marshalling the
-// payload cannot fail (every field round-trips JSON); an impossible
-// failure journals an empty payload rather than nothing.
+// acceptedRecord builds the submission record for sc; the journal
+// marshals the payload when it writes the record.
 func (s *Server) acceptedRecord(sc *scan) durable.Record {
 	p := submissionPayload{
 		Name: sc.Target.Name, Tool: sc.Tool, Profile: sc.Profile,
@@ -68,17 +67,21 @@ func (s *Server) acceptedRecord(sc *scan) durable.Record {
 	for _, f := range sc.Target.Files {
 		p.Files = append(p.Files, filePayload{Path: f.Path, Content: []byte(f.Content)})
 	}
-	raw, _ := json.Marshal(p)
-	return durable.Record{Type: durable.RecAccepted, ScanID: sc.ID, Payload: raw}
+	return durable.Record{Type: durable.RecAccepted, ScanID: sc.ID, PayloadValue: p}
 }
 
-// resultPayloadLocked marshals sc's settled outcome; caller holds s.mu.
-func (s *Server) resultPayloadLocked(sc *scan) json.RawMessage {
-	raw, _ := json.Marshal(resultPayload{
-		State: sc.State, Cached: sc.Cached, Worker: sc.Worker,
-		Result: sc.Result, Inc: sc.Inc, Error: sc.Err,
-	})
-	return raw
+// settledRecord completes r, a settled scan's terminal record, from cp,
+// a copy of the scan taken under s.mu when it settled: the scan id, the
+// settle time (so WAL and snapshot replay rehydrate the same Finished)
+// and the result payload, which the journal marshals when it writes the
+// record, without the registry lock.
+func settledRecord(r durable.Record, cp *scan) durable.Record {
+	r.ScanID, r.Time = cp.ID, cp.Finished
+	r.PayloadValue = resultPayload{
+		State: cp.State, Cached: cp.Cached, Worker: cp.Worker,
+		Result: cp.Result, Inc: cp.Inc, Error: cp.Err,
+	}
+	return r
 }
 
 // journal appends one lifecycle record, taking journalMu. A degraded
@@ -108,70 +111,105 @@ func (s *Server) journalLocked(r durable.Record) {
 	}
 }
 
-// maybeCompact snapshots the journal when the WAL has outgrown the
-// configured threshold. Called after a scan settles, off the s.mu lock.
-func (s *Server) maybeCompact() {
-	if s.cfg.Journal == nil {
-		return
-	}
-	if s.cfg.Journal.WALBytes() < s.cfg.CompactWALBytes {
-		return
-	}
-	s.CompactJournal()
+// compactDue reports whether the WAL has outgrown both the configured
+// floor and the last snapshot. Scaling the trigger with the snapshot
+// keeps the bytes compaction writes within about the bytes appended,
+// and the disk within about twice the live state plus the floor.
+func (s *Server) compactDue() bool {
+	j := s.cfg.Journal
+	return j.WALBytes() >= max(s.cfg.CompactWALBytes, j.SnapshotBytes())
 }
 
-// CompactJournal folds the live registry into a snapshot and truncates
-// the WAL. The live set is rebuilt from the registry itself — an
-// accepted record per tracked scan, a final record for settled ones,
-// and an attempt_failed marker preserving an unsettled scan's spent
-// budget — so compaction also garbage-collects records of evicted
-// scans.
+// maybeCompact compacts the journal when it is due. Called after a
+// scan settles, off every server lock; when a compaction is already
+// running it returns at once.
+func (s *Server) maybeCompact() {
+	if s.cfg.Journal == nil || !s.compactDue() || !s.compactMu.TryLock() {
+		return
+	}
+	defer s.compactMu.Unlock()
+	// The compaction this one raced may have just reset the WAL.
+	if s.compactDue() {
+		s.compactLocked()
+	}
+}
+
+// CompactJournal folds the live registry into a snapshot and drops the
+// WAL records it absorbs, waiting first for a compaction in flight.
+// The live set is rebuilt from the registry itself — an accepted
+// record per tracked scan, a final record for settled ones, and an
+// attempt_failed marker preserving an unsettled scan's spent budget —
+// so compaction also garbage-collects records of evicted scans.
 func (s *Server) CompactJournal() {
 	if s.cfg.Journal == nil {
 		return
 	}
-	s.journalMu.Lock()
-	defer s.journalMu.Unlock()
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	s.compactLocked()
+}
 
+// compactLocked runs one compaction; caller holds s.compactMu. Only the
+// capture holds journalMu and s.mu: the journal mark, then a value copy
+// of every retained scan and the extra live records. Building,
+// marshalling and writing the snapshot happen after both are released,
+// so appends and registry reads proceed meanwhile; the journal carries
+// whatever was appended after the mark into the fresh WAL.
+func (s *Server) compactLocked() {
+	s.journalMu.Lock()
+	mark := s.cfg.Journal.Mark()
 	s.mu.Lock()
-	live := make([]durable.Record, 0, 2*len(s.scans))
+	retained := make([]scan, 0, len(s.scans))
 	for _, sc := range s.scans {
-		live = append(live, s.acceptedRecord(sc))
-		switch sc.State {
-		case stateDone, stateCancelled:
-			// Time carries the original settle time through compaction so
-			// replay rehydrates Finished (and the trace timeline) exactly.
-			live = append(live, durable.Record{
-				Type: durable.RecCompleted, ScanID: sc.ID,
-				Attempt: sc.Attempts, Error: sc.Err, Time: sc.Finished,
-				Payload: s.resultPayloadLocked(sc),
-			})
-		case stateQuarantined:
-			live = append(live, durable.Record{
-				Type: durable.RecQuarantined, ScanID: sc.ID,
-				Attempt: sc.Attempts, Error: sc.Err, Time: sc.Finished,
-				Payload: s.resultPayloadLocked(sc),
-			})
-		default:
-			if sc.Attempts > 0 {
-				live = append(live, durable.Record{
-					Type: durable.RecAttemptFailed, ScanID: sc.ID,
-					Attempt: sc.Attempts, Error: sc.Err,
-				})
-			}
-		}
+		retained = append(retained, *sc)
 	}
 	s.mu.Unlock()
-
+	var extra []durable.Record
 	if s.cfg.ExtraLiveRecords != nil {
-		live = append(live, s.cfg.ExtraLiveRecords()...)
+		extra = s.cfg.ExtraLiveRecords()
 	}
+	s.journalMu.Unlock()
 
-	if err := s.cfg.Journal.Compact(live); err != nil {
+	err := s.cfg.Journal.CompactAt(mark, func(yield func(durable.Record) bool) {
+		for i := range retained {
+			if !s.liveRecords(&retained[i], yield) {
+				return
+			}
+		}
+		for _, r := range extra {
+			if !yield(r) {
+				return
+			}
+		}
+	})
+	if err != nil {
 		s.rec.Counter("journal_compact_errors_total").Inc()
-		return
 	}
-	s.rec.Counter("journal_compactions_total").Inc()
+}
+
+// liveRecords yields the records that reconstruct cp, a copy of one
+// retained scan, reporting whether yield asked for more.
+func (s *Server) liveRecords(cp *scan, yield func(durable.Record) bool) bool {
+	if !yield(s.acceptedRecord(cp)) {
+		return false
+	}
+	switch cp.State {
+	case stateDone, stateCancelled:
+		return yield(settledRecord(durable.Record{
+			Type: durable.RecCompleted, Attempt: cp.Attempts, Error: cp.Err,
+		}, cp))
+	case stateQuarantined:
+		return yield(settledRecord(durable.Record{
+			Type: durable.RecQuarantined, Attempt: cp.Attempts, Error: cp.Err,
+		}, cp))
+	}
+	if cp.Attempts > 0 {
+		return yield(durable.Record{
+			Type: durable.RecAttemptFailed, ScanID: cp.ID,
+			Attempt: cp.Attempts, Error: cp.Err,
+		})
+	}
+	return true
 }
 
 // Replay rebuilds the scan registry from a journal's replayed records

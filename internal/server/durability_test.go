@@ -200,8 +200,25 @@ func TestJournalPreservesNonUTF8Source(t *testing.T) {
 	rec := e.srv.acceptedRecord(&scan{ID: "x", Target: &analyzer.Target{
 		Name: "x", Files: []analyzer.SourceFile{{Path: "x.php", Content: raw}},
 	}})
+	dir2 := t.TempDir()
+	j2, _, err := durable.Open(dir2, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	j3, replayed, err := durable.Open(dir2, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j3.Close()
+	if len(replayed) != 1 {
+		t.Fatalf("replaying the fresh acceptance: %d records, want 1", len(replayed))
+	}
 	var sub submissionPayload
-	if err := json.Unmarshal(rec.Payload, &sub); err != nil {
+	if err := json.Unmarshal(replayed[0].Payload, &sub); err != nil {
 		t.Fatal(err)
 	}
 	if string(sub.Files[0].Content) != raw {

@@ -134,9 +134,9 @@ type Config struct {
 	// ScanTTL, when positive, additionally evicts finished scans older
 	// than this at insertion sweeps.
 	ScanTTL time.Duration
-	// CompactWALBytes is the journal size that triggers a
-	// snapshot+compaction after a scan settles
-	// (DefaultCompactWALBytes when 0).
+	// CompactWALBytes is the floor of the WAL size that triggers a
+	// compaction after a scan settles: the WAL must also have outgrown
+	// the last snapshot (DefaultCompactWALBytes when 0).
 	CompactWALBytes int64
 	// Logger receives structured scan lifecycle logs (accept, attempt,
 	// retry, settle, replay), each line carrying scan_id and component
@@ -218,8 +218,8 @@ type DispatchResult struct {
 // long-lived daemon's memory stays flat.
 const DefaultMaxScans = 4096
 
-// DefaultCompactWALBytes triggers journal compaction once the WAL
-// outgrows it.
+// DefaultCompactWALBytes is the WAL size below which the journal is
+// never compacted after a settle.
 const DefaultCompactWALBytes = 4 << 20
 
 // scanState is a job's lifecycle position.
@@ -297,11 +297,15 @@ type Server struct {
 	// draining flips readiness off ahead of shutdown (StartDrain).
 	draining bool
 
-	// journalMu serializes journal appends against compaction's
-	// build-live-set-and-truncate, so no lifecycle record can fall
-	// between a snapshot and the WAL reset. Lock order: journalMu
-	// before mu, never the reverse.
+	// journalMu serializes journal appends against compaction's capture
+	// of the journal mark and the registry, so every record at or below
+	// the mark is reflected in the captured registry and every later
+	// one lands in the WAL tail the journal carries over. Lock order:
+	// compactMu, then journalMu, then mu; never the reverse.
 	journalMu sync.Mutex
+	// compactMu admits one compaction at a time: a threshold trigger
+	// that finds it held returns, CompactJournal waits for it.
+	compactMu sync.Mutex
 }
 
 // New builds a Server over cfg, filling defaults.
@@ -926,9 +930,7 @@ func (s *Server) runScanAttempt(ctx context.Context, sc *scan) error {
 		sc.Worker = dispatchWorker
 	}
 	delete(s.active, sc.Key)
-	payload := s.resultPayloadLocked(sc)
-	created, finished := sc.Created, sc.Finished
-	worker := sc.Worker
+	cp := *sc
 	s.mu.Unlock()
 	s.rec.Counter("scans_completed_total").Inc()
 	if hit {
@@ -941,11 +943,10 @@ func (s *Server) runScanAttempt(ctx context.Context, sc *scan) error {
 		})
 	}
 	s.degradationEvents(sc.ID, res)
-	s.settleEvent(sc, stateDone, "", created, finished)
-	s.journal(durable.Record{
-		Type: durable.RecCompleted, ScanID: sc.ID, Attempt: sc.Attempts,
-		Worker: worker, Payload: payload,
-	})
+	s.settleEvent(sc, stateDone, "", cp.Created, cp.Finished)
+	s.journal(settledRecord(durable.Record{
+		Type: durable.RecCompleted, Attempt: cp.Attempts, Worker: cp.Worker,
+	}, &cp))
 	s.maybeCompact()
 	return nil
 }
@@ -982,18 +983,16 @@ func (s *Server) settleCancelledLocked(sc *scan, cause error, partial *analyzer.
 	}
 	sc.Finished = s.now()
 	delete(s.active, sc.Key)
-	payload := s.resultPayloadLocked(sc)
-	created, finished := sc.Created, sc.Finished
+	cp := *sc
 	s.mu.Unlock()
 	s.rec.Counter("scans_cancelled_total").Inc()
-	s.settleEvent(sc, stateCancelled, cause.Error(), created, finished)
+	s.settleEvent(sc, stateCancelled, cause.Error(), cp.Created, cp.Finished)
 	// A cancelled scan is settled work: journal it as completed (the
 	// payload records the cancelled state) so replay does not re-run
 	// what a client deliberately stopped.
-	s.journal(durable.Record{
-		Type: durable.RecCompleted, ScanID: sc.ID, Attempt: sc.Attempts,
-		Error: sc.Err, Payload: payload,
-	})
+	s.journal(settledRecord(durable.Record{
+		Type: durable.RecCompleted, Attempt: cp.Attempts, Error: cp.Err,
+	}, &cp))
 	s.maybeCompact()
 }
 
@@ -1007,15 +1006,13 @@ func (s *Server) settleQuarantined(sc *scan, attempts int, err error) {
 	sc.Finished = s.now()
 	sc.cancel = nil
 	delete(s.active, sc.Key)
-	payload := s.resultPayloadLocked(sc)
-	created, finished := sc.Created, sc.Finished
+	cp := *sc
 	s.mu.Unlock()
 	s.rec.Counter("scans_quarantined_total").Inc()
-	s.settleEvent(sc, stateQuarantined, err.Error(), created, finished)
-	s.journal(durable.Record{
-		Type: durable.RecQuarantined, ScanID: sc.ID, Attempt: attempts,
-		Error: err.Error(), Payload: payload,
-	})
+	s.settleEvent(sc, stateQuarantined, err.Error(), cp.Created, cp.Finished)
+	s.journal(settledRecord(durable.Record{
+		Type: durable.RecQuarantined, Attempt: attempts, Error: err.Error(),
+	}, &cp))
 	s.maybeCompact()
 }
 
