@@ -454,9 +454,9 @@ func (t *Target) File(path string) (SourceFile, bool) {
 // problems are recorded in the Result, never returned as errors
 // (robustness requirement, paper §IV.A).
 //
-// The engines in this repository additionally provide a concrete
-// Analyze(target) convenience method (background context, default
-// budgets); it is deliberately not part of the interface.
+// AnalyzeContext is every engine's only analyze method: a caller that
+// needs neither cancellation nor budgets passes context.Background()
+// and nil options.
 type Analyzer interface {
 	// Name returns the tool's display name.
 	Name() string

@@ -51,7 +51,9 @@ func newWorker(t *testing.T) *httptest.Server {
 		Recorder: rec,
 		Retry:    jobs.RetryPolicy{MaxAttempts: 1},
 	})
-	ts := httptest.NewServer(NewWorkerHandler(api, pool, ""))
+	wk := NewWorker(WorkerConfig{})
+	wk.Bind(api, pool)
+	ts := httptest.NewServer(wk.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

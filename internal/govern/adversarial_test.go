@@ -20,20 +20,27 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/govern"
+	"repro/internal/incremental"
 	"repro/internal/pixy"
 	"repro/internal/rips"
 	"repro/internal/taint"
 	"repro/internal/wordpress"
 )
 
-// engines returns fresh instances of the three real engines; fresh per
-// test so recorded state never crosses tests.
+// engines returns fresh instances of the three real engines plus the
+// incremental analyzer the daemon runs phpSAFE through; fresh per test
+// so recorded state never crosses tests.
 func engines() []analyzer.Analyzer {
-	return []analyzer.Analyzer{
-		taint.New(wordpress.Compiled(), taint.DefaultOptions()),
-		rips.NewDefault(),
-		pixy.New(),
-	}
+	return append(phpsafeAnalyzers(), rips.NewDefault(), pixy.New())
+}
+
+// phpsafeAnalyzers returns the two ways a scan reaches the phpSAFE
+// engine: directly, and through the incremental planner over a fresh
+// memory store.
+func phpsafeAnalyzers() []analyzer.Analyzer {
+	eng := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	store, _ := incremental.NewStore("", nil) // a memory-only store cannot fail
+	return []analyzer.Analyzer{eng, incremental.New(eng, store, "adversarial", nil)}
 }
 
 // loadFixture reads one testdata file into a SourceFile.
@@ -107,23 +114,24 @@ func TestTinyBudgetsTruncateNotCrash(t *testing.T) {
 		loadFixture(t, "giant_inline_html.php"),
 		loadFixture(t, "wide_call.php"),
 	}}
-	eng := taint.New(wordpress.Compiled(), taint.DefaultOptions())
 	opts := &analyzer.ScanOptions{MaxSteps: 300, MaxParseDepth: 64}
-	res, err := eng.AnalyzeContext(context.Background(), target, opts)
-	if err != nil {
-		t.Fatalf("budget exhaustion must not be an error: %v", err)
-	}
-	if res == nil || !res.Truncated {
-		t.Fatalf("starved scan not flagged Truncated: %+v", res)
-	}
-	found := false
-	for _, dim := range res.TruncatedBy {
-		if dim == govern.DimSteps {
-			found = true
+	for _, eng := range phpsafeAnalyzers() {
+		res, err := eng.AnalyzeContext(context.Background(), target, opts)
+		if err != nil {
+			t.Fatalf("%T: budget exhaustion must not be an error: %v", eng, err)
 		}
-	}
-	if !found {
-		t.Errorf("TruncatedBy = %v, want %q", res.TruncatedBy, govern.DimSteps)
+		if res == nil || !res.Truncated {
+			t.Fatalf("%T: starved scan not flagged Truncated: %+v", eng, res)
+		}
+		found := false
+		for _, dim := range res.TruncatedBy {
+			if dim == govern.DimSteps {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%T: TruncatedBy = %v, want %q", eng, res.TruncatedBy, govern.DimSteps)
+		}
 	}
 }
 
@@ -133,8 +141,15 @@ func TestTinyBudgetsTruncateNotCrash(t *testing.T) {
 // minutes the full scan would take.
 func TestCancellationBounded(t *testing.T) {
 	giant := loadFixture(t, "giant_inline_html.php")
-	eng := taint.New(wordpress.Compiled(), taint.DefaultOptions())
+	for _, eng := range phpsafeAnalyzers() {
+		cancellationBounded(t, eng, giant)
+	}
+}
 
+// cancellationBounded runs the TestCancellationBounded scenario on one
+// analyzer.
+func cancellationBounded(t *testing.T, eng analyzer.Analyzer, giant analyzer.SourceFile) {
+	t.Helper()
 	// A fast machine can finish the whole target before a fixed sleep
 	// elapses, which proves nothing either way; grow the target until
 	// the cancellation actually lands mid-flight.
@@ -170,17 +185,17 @@ func TestCancellationBounded(t *testing.T) {
 				continue
 			}
 			if !errors.Is(out.err, context.Canceled) {
-				t.Fatalf("err = %v (copies=%d), want wrapped context.Canceled", out.err, copies)
+				t.Fatalf("%T: err = %v (copies=%d), want wrapped context.Canceled", eng, out.err, copies)
 			}
 			if out.res == nil {
-				t.Error("cancelled scan dropped its partial result")
+				t.Errorf("%T: cancelled scan dropped its partial result", eng)
 			}
 			if lag := out.settled.Sub(cancelled); lag > 5*time.Second {
-				t.Errorf("cancellation took %v to surface", lag)
+				t.Errorf("%T: cancellation took %v to surface", eng, lag)
 			}
 			return
 		case <-time.After(30 * time.Second):
-			t.Fatal("cancelled scan never returned")
+			t.Fatalf("%T: cancelled scan never returned", eng)
 		}
 	}
 }

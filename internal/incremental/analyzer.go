@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/analyzer"
+	"repro/internal/govern"
 	"repro/internal/obs"
 	"repro/internal/taint"
 )
@@ -25,13 +26,15 @@ type Report struct {
 // Analyzer wraps a taint engine with artifact reuse: each scan plans a
 // reuse/re-analyze partition against the store, seeds the engine with
 // the reused files' recorded outcomes, and writes fresh artifacts back.
-// Warm results are byte-identical to a cold Engine.Analyze of the same
-// target (the differential test in this package holds that line).
+// Warm results are byte-identical to a cold Engine.AnalyzeContext of
+// the same target (the differential test in this package holds that
+// line).
 //
 // The wrapper is safe for concurrent use if its store is; the recorder
 // (which may be nil) receives the inc_files_{reused,analyzed}_total,
-// inc_components_reused_total and inc_files_invalidated_total counters
-// and the inc_reuse_ratio / inc_time_saved_seconds histograms.
+// inc_components_reused_total and inc_files_invalidated_total counters,
+// the inc_reuse_ratio / inc_time_saved_seconds histograms, the
+// planner's lex/parse metrics and the scan governor's counters.
 type Analyzer struct {
 	eng         *taint.Engine
 	store       *Store
@@ -54,38 +57,32 @@ func New(eng *taint.Engine, store *Store, fingerprint string, rec *obs.Recorder)
 // is a scheduling strategy, not a different tool.
 func (a *Analyzer) Name() string { return a.eng.Name() }
 
-// Analyze scans target with artifact reuse.
-func (a *Analyzer) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
-	res, _, err := a.AnalyzeWithReport(target)
-	return res, err
-}
-
 // AnalyzeContext scans target with artifact reuse under a context and
-// resource budgets (analyzer.ContextAnalyzer).
+// resource budgets (the analyzer.Analyzer contract).
 func (a *Analyzer) AnalyzeContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, error) {
 	res, _, err := a.AnalyzeWithReportContext(ctx, target, opts)
 	return res, err
 }
 
-// AnalyzeWithReport scans target with artifact reuse and also returns
-// the reuse report.
-func (a *Analyzer) AnalyzeWithReport(target *analyzer.Target) (*analyzer.Result, *Report, error) {
-	return a.AnalyzeWithReportContext(context.Background(), target, nil)
-}
-
-// AnalyzeWithReportContext is AnalyzeWithReport under a context and
-// resource budgets. A cancelled scan returns the partial result with
-// the error and writes nothing back; a truncated or crash-isolated
-// scan exports no artifacts (the engine withholds them), so the store
-// never receives partial per-file state.
+// AnalyzeWithReportContext is AnalyzeContext that also returns the
+// reuse report. One governor covers planning and analysis, so the
+// deadline and step budget run from the start of planning, and
+// planning parses through the governed pipeline with the scan's file
+// workers and the analyzer's recorder. A cancelled scan returns the
+// partial result with an error wrapping ctx.Err() and writes nothing
+// back; a truncated or crash-isolated scan exports no artifacts (the
+// engine withholds them), so the store never receives partial per-file
+// state.
 func (a *Analyzer) AnalyzeWithReportContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, *Report, error) {
 	if target == nil {
 		return nil, nil, fmt.Errorf("incremental: nil target")
 	}
-	plan := BuildPlan(a.store, a.eng, a.fingerprint, target)
+	gov := govern.New(ctx, opts, a.rec)
+	workers := opts.EffectiveFileWorkers()
+	plan := buildPlan(a.store, a.eng, a.fingerprint, target, gov, a.rec, workers)
 
 	start := time.Now()
-	res, arts, err := a.eng.AnalyzeIncrementalContext(ctx, target, opts, plan.Seed)
+	res, arts, err := a.eng.AnalyzeSeeded(gov, target, workers, plan.Seed)
 	if err != nil {
 		return res, nil, err
 	}

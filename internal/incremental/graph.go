@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/govern"
 	"repro/internal/phpast"
 )
 
@@ -304,8 +305,9 @@ type Graph struct {
 // uncalled-function pass by bare name. Include edges link the includer
 // to every file its path literal *could* resolve to, because the
 // engine's basename-suffix resolution scans the whole file list and must
-// see the same candidates in any sub-scope.
-func BuildGraph(files map[string]*phpast.File, isSuper func(string) bool) *Graph {
+// see the same candidates in any sub-scope. The walk checks gov once
+// per file and returns nil when it has halted.
+func BuildGraph(files map[string]*phpast.File, isSuper func(string) bool, gov *govern.Governor) *Graph {
 	g := &Graph{
 		paths: make([]string, 0, len(files)),
 		index: make(map[string]int, len(files)),
@@ -340,6 +342,10 @@ func BuildGraph(files map[string]*phpast.File, isSuper func(string) bool) *Graph
 
 	refs := make([]*fileRefs, len(g.paths))
 	for i, p := range g.paths {
+		gov.CheckNow()
+		if gov.Halted() {
+			return nil
+		}
 		r := extractRefs(files[p], isSuper)
 		refs[i] = r
 		for _, n := range r.declFuncs {

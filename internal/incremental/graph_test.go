@@ -11,7 +11,7 @@ import (
 func parseAll(srcs map[string]string) map[string]*phpast.File {
 	out := make(map[string]*phpast.File, len(srcs))
 	for p, s := range srcs {
-		out[p] = phpparse.Parse(p, s)
+		out[p] = phpparse.ParseGoverned(p, s, nil, nil, nil)
 	}
 	return out
 }
@@ -19,7 +19,7 @@ func parseAll(srcs map[string]string) map[string]*phpast.File {
 // components builds the graph and returns its components.
 func components(t *testing.T, srcs map[string]string, isSuper func(string) bool) [][]string {
 	t.Helper()
-	return BuildGraph(parseAll(srcs), isSuper).Components()
+	return BuildGraph(parseAll(srcs), isSuper, nil).Components()
 }
 
 // wantComponents asserts the exact component partition.

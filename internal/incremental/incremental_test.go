@@ -1,11 +1,16 @@
 package incremental
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analyzer"
 	"repro/internal/eval"
+	"repro/internal/govern"
 	"repro/internal/obs"
 	"repro/internal/taint"
 )
@@ -51,7 +56,7 @@ func TestWarmScanIdenticalAndReuses(t *testing.T) {
 	inc := New(eng, store, "test", rec)
 
 	base := SyntheticTarget(8)
-	coldRes, rep, err := inc.AnalyzeWithReport(base)
+	coldRes, rep, err := inc.AnalyzeWithReportContext(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("cold scan: %v", err)
 	}
@@ -63,7 +68,7 @@ func TestWarmScanIdenticalAndReuses(t *testing.T) {
 	}
 
 	// Unchanged rescan: everything reuses, result identical.
-	warmRes, rep, err := inc.AnalyzeWithReport(base)
+	warmRes, rep, err := inc.AnalyzeWithReportContext(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("warm scan: %v", err)
 	}
@@ -77,7 +82,7 @@ func TestWarmScanIdenticalAndReuses(t *testing.T) {
 	// One-file-dirty rescan: exactly one component re-analyzed, and the
 	// result matches a cold scan of the dirty target.
 	dirty := Touch(base, 3, 1)
-	warmDirty, rep, err := inc.AnalyzeWithReport(dirty)
+	warmDirty, rep, err := inc.AnalyzeWithReportContext(context.Background(), dirty, nil)
 	if err != nil {
 		t.Fatalf("warm dirty scan: %v", err)
 	}
@@ -87,7 +92,7 @@ func TestWarmScanIdenticalAndReuses(t *testing.T) {
 	if rep.InvalidatedFiles != 1 {
 		t.Fatalf("dirty report invalidated=%d, want 1", rep.InvalidatedFiles)
 	}
-	coldDirty, err := eng.Analyze(dirty)
+	coldDirty, err := eng.AnalyzeContext(context.Background(), dirty, nil)
 	if err != nil {
 		t.Fatalf("cold dirty scan: %v", err)
 	}
@@ -121,7 +126,7 @@ func TestChangedFileInvalidatesDependents(t *testing.T) {
 		Content: `<?php echo strip_tags($_GET['z']);`}
 	base := &analyzer.Target{Name: "dep", Files: []analyzer.SourceFile{lib, app, loner}}
 
-	if _, _, err := inc.AnalyzeWithReport(base); err != nil {
+	if _, _, err := inc.AnalyzeWithReportContext(context.Background(), base, nil); err != nil {
 		t.Fatalf("cold: %v", err)
 	}
 
@@ -131,7 +136,7 @@ func TestChangedFileInvalidatesDependents(t *testing.T) {
 		{Path: "lib.php", Content: `<?php function emit($x) { echo htmlspecialchars($x); }`},
 		app, loner,
 	}}
-	res, rep, err := inc.AnalyzeWithReport(changed)
+	res, rep, err := inc.AnalyzeWithReportContext(context.Background(), changed, nil)
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -145,7 +150,7 @@ func TestChangedFileInvalidatesDependents(t *testing.T) {
 			t.Fatalf("stale finding survived dependency change: %+v", f)
 		}
 	}
-	cold, err := eng.Analyze(changed)
+	cold, err := eng.AnalyzeContext(context.Background(), changed, nil)
 	if err != nil {
 		t.Fatalf("cold changed: %v", err)
 	}
@@ -163,7 +168,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	cold, _, err := New(eng, s1, "test", nil).AnalyzeWithReport(base)
+	cold, _, err := New(eng, s1, "test", nil).AnalyzeWithReportContext(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -174,7 +179,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore(2): %v", err)
 	}
-	warm, rep, err := New(eng, s2, "test", nil).AnalyzeWithReport(base)
+	warm, rep, err := New(eng, s2, "test", nil).AnalyzeWithReportContext(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -191,10 +196,10 @@ func TestFingerprintSeparatesArtifacts(t *testing.T) {
 	store := memStore(t, nil)
 	base := SyntheticTarget(2)
 
-	if _, _, err := New(eng, store, "fp-a", nil).AnalyzeWithReport(base); err != nil {
+	if _, _, err := New(eng, store, "fp-a", nil).AnalyzeWithReportContext(context.Background(), base, nil); err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	_, rep, err := New(eng, store, "fp-b", nil).AnalyzeWithReport(base)
+	_, rep, err := New(eng, store, "fp-b", nil).AnalyzeWithReportContext(context.Background(), base, nil)
 	if err != nil {
 		t.Fatalf("other fingerprint: %v", err)
 	}
@@ -219,11 +224,11 @@ function pipeline($a, $b) {
 }
 `},
 	}}
-	cold, _, err := inc.AnalyzeWithReport(target)
+	cold, _, err := inc.AnalyzeWithReportContext(context.Background(), target, nil)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	warm, rep, err := inc.AnalyzeWithReport(target)
+	warm, rep, err := inc.AnalyzeWithReportContext(context.Background(), target, nil)
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -232,5 +237,46 @@ function pipeline($a, $b) {
 	}
 	if resultJSON(t, warm) != resultJSON(t, cold) {
 		t.Fatal("summary round trip changed the result")
+	}
+}
+
+// Planning parses under the scan's governor: a huge file under an
+// already-cancelled context, or under a 1ms deadline, drains in well
+// under a second instead of being parsed to the end, and a plan built
+// under a halted governor caches none of its (truncated) ASTs.
+// Cancellation comes back as an error with the partial result; the
+// deadline comes back as a Truncated result, as from the engine.
+func TestHaltedPlanDrainsAndCachesNothing(t *testing.T) {
+	content := "<?php\n" + strings.Repeat("$a = $_GET['q'] . 'x'; echo $a;\n", 400_000)
+	target := &analyzer.Target{Name: "huge", Files: []analyzer.SourceFile{{Path: "huge.php", Content: content}}}
+	opts := &analyzer.ScanOptions{Deadline: time.Millisecond}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{{"cancelled", cancelled}, {"deadline", context.Background()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := memStore(t, nil)
+			inc := New(testEngine(t), store, "test", nil)
+			start := time.Now()
+			res, _, err := inc.AnalyzeWithReportContext(tc.ctx, target, opts)
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("scan took %v to drain", elapsed)
+			}
+			if res == nil {
+				t.Fatal("halted scan dropped its partial result")
+			}
+			if tc.ctx.Err() != nil {
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("err = %v, want wrapped context.Canceled", err)
+				}
+			} else if err != nil || !res.Truncated || res.TruncatedBy[0] != govern.DimDeadline {
+				t.Errorf("err = %v, TruncatedBy = %v, want a result truncated by %s", err, res.TruncatedBy, govern.DimDeadline)
+			}
+			if _, ok := store.AST("huge.php", content, analyzer.DefaultMaxParseDepth); ok {
+				t.Error("a plan built under a halted governor cached the file's AST")
+			}
+		})
 	}
 }

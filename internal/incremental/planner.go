@@ -2,11 +2,15 @@ package incremental
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/analyzer"
+	"repro/internal/govern"
+	"repro/internal/obs"
 	"repro/internal/phpast"
 	"repro/internal/phplex"
 	"repro/internal/phpparse"
+	"repro/internal/pipeline"
 	"repro/internal/taint"
 )
 
@@ -43,10 +47,11 @@ type Plan struct {
 }
 
 // planFingerprint pins everything an artifact's validity depends on
-// besides file content: the caller's tool/config fingerprint plus the
+// besides file content: the caller's tool/config fingerprint, the
+// parse-depth budget (a smaller one degrades deep constructs) plus the
 // lexer and parser model versions.
-func planFingerprint(fingerprint string) string {
-	return fingerprint + "|" + phplex.Version + "|" + phpparse.Version
+func planFingerprint(fingerprint string, maxDepth int) string {
+	return fingerprint + "|depth:" + strconv.Itoa(maxDepth) + "|" + phplex.Version + "|" + phpparse.Version
 }
 
 // BuildPlan hashes and parses the target (through the store's AST
@@ -56,30 +61,54 @@ func planFingerprint(fingerprint string) string {
 // re-analyzed whole. Reusing a file therefore requires that nothing it
 // could interact with has changed — a changed file transitively
 // invalidates its dependents because their component hash changes.
+// BuildPlan runs ungoverned, unobserved and serial; the Analyzer plans
+// each scan through the same code under the scan's governor.
 func BuildPlan(store *Store, eng *taint.Engine, fingerprint string, target *analyzer.Target) *Plan {
+	return buildPlan(store, eng, fingerprint, target, nil, nil, 1)
+}
+
+// buildPlan is BuildPlan under a governor, a recorder and a parse
+// worker count. Files missing from the AST cache are parsed through
+// pipeline.ParseFiles, so planning honours the scan's cancellation,
+// deadline, step and depth budgets and records lex/parse metrics. A
+// plan whose governor halted (the ASTs may be truncated) caches no AST
+// and reuses nothing: every file is analyzed, under the same halted
+// governor, which drains the scan at once.
+func buildPlan(store *Store, eng *taint.Engine, fingerprint string, target *analyzer.Target, gov *govern.Governor, rec *obs.Recorder, workers int) *Plan {
 	p := &Plan{
 		Keys:   make(map[string]string, len(target.Files)),
 		Hashes: make(map[string]string, len(target.Files)),
-		Seed: &taint.Seed{
-			Skip:   make(map[string]*taint.FileResult),
-			Parsed: make(map[string]*phpast.File, len(target.Files)),
-		},
+		Seed:   &taint.Seed{Skip: make(map[string]*taint.FileResult)},
 	}
-	fp := planFingerprint(fingerprint + "|" + eng.OptionsFingerprint())
+	depth := gov.MaxParseDepth()
+	fp := planFingerprint(fingerprint+"|"+eng.OptionsFingerprint(), depth)
 
-	files := make(map[string]*phpast.File, len(target.Files))
+	cached := make(map[string]*phpast.File, len(target.Files))
 	for _, sf := range target.Files {
 		p.Hashes[sf.Path] = HashFile(sf.Content)
-		f, ok := store.AST(sf.Path, sf.Content)
-		if !ok {
-			f = phpparse.Parse(sf.Path, sf.Content)
-			store.PutAST(sf.Path, sf.Content, f)
+		if f, ok := store.AST(sf.Path, sf.Content, depth); ok {
+			cached[sf.Path] = f
 		}
-		files[sf.Path] = f
-		p.Seed.Parsed[sf.Path] = f
+	}
+	sp := rec.StartNamedSpan("plan:", target.Name, nil)
+	files, _ := pipeline.ParseFiles(target.Files, cached, rec, sp, gov, workers)
+	sp.End()
+	p.Seed.Parsed = files
+
+	g := BuildGraph(files, eng.IsSuperglobal, gov)
+	if g == nil {
+		for path := range files {
+			p.Analyze = append(p.Analyze, path)
+		}
+		sort.Strings(p.Analyze)
+		return p
+	}
+	for _, sf := range target.Files {
+		if cached[sf.Path] == nil {
+			store.PutAST(sf.Path, sf.Content, depth, files[sf.Path])
+		}
 	}
 
-	g := BuildGraph(files, eng.IsSuperglobal)
 	comps := g.Components()
 	p.Components = len(comps)
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"repro/internal/obs"
@@ -42,12 +43,12 @@ type Artifact struct {
 }
 
 // Store is the content-addressed artifact store: parsed ASTs keyed by
-// (path, content) and per-file analysis artifacts keyed by their
-// component closure. It is safe for concurrent use. With a directory it
-// persists artifacts as JSON (one file per key) and survives restarts;
-// ASTs are memory-only. The recorder (which may be nil) receives the
-// inc_{artifact,ast}_{hits,misses}_total and inc_artifacts_stored_total
-// counters.
+// (path, content, parse-depth budget) and per-file analysis artifacts
+// keyed by their component closure. It is safe for concurrent use.
+// With a directory it persists artifacts as JSON (one file per key)
+// and survives restarts; ASTs are memory-only. The recorder (which may
+// be nil) receives the inc_{artifact,ast}_{hits,misses}_total and
+// inc_artifacts_stored_total counters.
 type Store struct {
 	rec *obs.Recorder
 	dir string
@@ -84,11 +85,13 @@ func HashFile(content string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// astKey addresses a parsed AST by path and content: the parser records
-// the path inside the File, so identical content under two paths still
-// parses twice.
-func astKey(path, content string) string {
-	return hashFields("ast", path, content)
+// astKey addresses a parsed AST by path, content and the parse-depth
+// budget it was parsed under: the parser records the path inside the
+// File, so identical content under two paths still parses twice, and a
+// smaller depth budget degrades deep constructs, so ASTs never flow
+// between budgets.
+func astKey(path, content string, maxDepth int) string {
+	return hashFields("ast", path, strconv.Itoa(maxDepth), content)
 }
 
 // hashFields hashes length-prefixed fields so no concatenation of
@@ -104,10 +107,11 @@ func hashFields(fields ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// AST returns the cached parse of (path, content), if present.
-func (s *Store) AST(path, content string) (*phpast.File, bool) {
+// AST returns the cached parse of (path, content) under the parse-depth
+// budget maxDepth, if present.
+func (s *Store) AST(path, content string, maxDepth int) (*phpast.File, bool) {
 	s.mu.Lock()
-	f, ok := s.asts[astKey(path, content)]
+	f, ok := s.asts[astKey(path, content, maxDepth)]
 	s.mu.Unlock()
 	if ok {
 		s.rec.Counter("inc_ast_hits_total").Inc()
@@ -117,11 +121,11 @@ func (s *Store) AST(path, content string) (*phpast.File, bool) {
 	return f, ok
 }
 
-// PutAST caches a parsed file.
-func (s *Store) PutAST(path, content string, f *phpast.File) {
+// PutAST caches a file parsed under the parse-depth budget maxDepth.
+func (s *Store) PutAST(path, content string, maxDepth int, f *phpast.File) {
 	s.mu.Lock()
 	if len(s.asts) < maxMemoryASTs {
-		s.asts[astKey(path, content)] = f
+		s.asts[astKey(path, content, maxDepth)] = f
 	}
 	s.mu.Unlock()
 }

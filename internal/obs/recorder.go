@@ -6,8 +6,9 @@ import (
 )
 
 // DefaultMaxSpans bounds the span tree so unattended corpus runs cannot
-// grow memory without limit; spans beyond the cap are counted in the
-// obs_spans_dropped_total counter instead of being kept.
+// grow memory without limit; spans beyond the cap are still timed and
+// observed but not kept, and are counted in the obs_spans_dropped_total
+// counter.
 const DefaultMaxSpans = 65536
 
 // Recorder ties a metrics registry, a span tree and a clock together.
@@ -88,19 +89,21 @@ func (r *Recorder) Histogram(name string, bounds ...float64) *Histogram {
 func (r *Recorder) Observe(name string, v float64) { r.Metrics().Histogram(name).Observe(v) }
 
 // StartSpan opens a span under parent (nil parent makes a root span).
-// The returned span must be closed with End or EndAndObserve.
+// The returned span must be closed with End or EndAndObserve. Past the
+// span cap the span is detached: it still times and observes, so
+// stage histograms keep counting, but the tree does not retain it.
 func (r *Recorder) StartSpan(name string, parent *Span) *Span {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := &Span{rec: r, name: name, parent: parent, start: r.clock.Now()}
 	if r.spanCount >= r.maxSpans {
 		// The registry has its own lock, so this is safe under mu.
 		r.Counter("obs_spans_dropped_total").Inc()
-		return nil
+		return s
 	}
-	s := &Span{rec: r, name: name, parent: parent, start: r.clock.Now()}
 	r.spanCount++
 	if parent != nil {
 		parent.children = append(parent.children, s)

@@ -97,18 +97,23 @@ func TestStartNamedSpan(t *testing.T) {
 	}
 }
 
-// TestSpanCap verifies the span cap drops (and counts) the overflow.
+// TestSpanCap verifies the span cap drops (and counts) the overflow
+// from the tree while every span, kept or not, still feeds its
+// histogram.
 func TestSpanCap(t *testing.T) {
 	r := NewRecorderWithClock(NewManualClock(testOrigin))
 	r.maxSpans = 3
 	for i := 0; i < 5; i++ {
-		r.StartSpan("s", nil).End()
+		r.StartSpan("s", nil).EndAndObserve("s_seconds")
 	}
 	if got := len(r.SpanRoots()); got != 3 {
 		t.Fatalf("kept roots = %d, want 3", got)
 	}
 	if got := r.Counter("obs_spans_dropped_total").Value(); got != 2 {
 		t.Fatalf("dropped = %d, want 2", got)
+	}
+	if got := r.Histogram("s_seconds").Count(); got != 5 {
+		t.Fatalf("observed = %d, want 5 (spans past the cap must still count)", got)
 	}
 }
 

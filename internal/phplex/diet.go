@@ -31,8 +31,8 @@ func getTokenBuf(capHint int) []phptoken.Token {
 	return make([]phptoken.Token, 0, capHint)
 }
 
-// PutTokens hands a token stream obtained from TokenizeCode,
-// TokenizeCodeObserved or TokenizeCodeGoverned back to the pool. The
+// PutTokens hands a token stream obtained from TokenizeCode or
+// TokenizeCodeGoverned back to the pool. The
 // caller must not touch the slice afterwards. Putting a slice that was
 // not obtained from those functions is allowed; it just donates the
 // backing array.

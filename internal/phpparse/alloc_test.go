@@ -29,8 +29,8 @@ func benchSource(t *testing.T) string {
 func TestParseAllocsGate(t *testing.T) {
 	const baselinePath = "testdata/parse_allocs_baseline.txt"
 	src := benchSource(t)
-	Parse("bench.php", src) // warm the token-buffer pool
-	got := testing.AllocsPerRun(50, func() { Parse("bench.php", src) })
+	parse("bench.php", src) // warm the token-buffer pool
+	got := testing.AllocsPerRun(50, func() { parse("bench.php", src) })
 	if os.Getenv("UPDATE_ALLOCS_BASELINE") != "" {
 		if err := os.WriteFile(baselinePath, []byte(strconv.FormatFloat(got, 'f', -1, 64)+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestParseAllocsGate(t *testing.T) {
 // TestInspectAllocsConstant requires a full walk of the representative
 // file's AST to allocate a small constant, not once per node.
 func TestInspectAllocsConstant(t *testing.T) {
-	f := Parse("bench.php", benchSource(t))
+	f := parse("bench.php", benchSource(t))
 	nodes := phpast.CountNodes(f)
 	allocs := testing.AllocsPerRun(50, func() {
 		phpast.InspectStmts(f.Stmts, func(phpast.Node) bool { return true })

@@ -20,32 +20,24 @@ import (
 	"repro/internal/phptoken"
 )
 
-// Parse parses PHP source text and returns the file's AST. The returned
-// file always has a usable (possibly partial) statement list; recoverable
-// problems are listed in File.Errors.
-func Parse(name, src string) *phpast.File {
-	return ParseObserved(name, src, nil, nil)
-}
-
-// ParseObserved is Parse with model-construction cost recorded into a
-// recorder: a "parse:<name>" span under parent (with a nested "lex"
-// span from the lexer), parse time in the stage_parse_seconds
-// histogram, and the parse_ast_nodes_total / parse_errors_total /
-// parse_files_total counters. A nil recorder makes it identical to
-// Parse — the counting walk only runs when observation is on, so the
-// unobserved hot path stays unchanged.
-func ParseObserved(name, src string, rec *obs.Recorder, parent *obs.Span) *phpast.File {
-	return ParseGoverned(name, src, rec, parent, nil)
-}
-
-// ParseGoverned is ParseObserved under a resource governor: lexing and
-// statement parsing carry cancellation checkpoints (a halted governor
+// ParseGoverned parses PHP source text and returns the file's AST. The
+// returned file always has a usable (possibly partial) statement list;
+// recoverable problems are listed in File.Errors.
+//
+// The recorder gets the model-construction cost: a "parse:<name>" span
+// under parent (with a nested "lex" span from the lexer), parse time in
+// the stage_parse_seconds histogram, and the parse_ast_nodes_total /
+// parse_errors_total / parse_files_total counters; the counting walk
+// only runs when observation is on. The governor puts cancellation
+// checkpoints into lexing and statement parsing (a halted governor
 // terminates the token stream and the statement list early, yielding a
-// truncated but well-formed AST), and expression/statement nesting is
-// bounded by the governor's parse-depth budget — deeper constructs
-// degrade to Bad nodes with a recorded error, exactly like other
-// malformed input. A nil governor still applies the default depth
-// budget, so the parser is stack-safe on hostile input everywhere.
+// truncated but well-formed AST) and bounds expression/statement
+// nesting by its parse-depth budget — deeper constructs degrade to Bad
+// nodes with a recorded error, exactly like other malformed input. A
+// nil recorder and a nil governor are the plain mode; a nil governor
+// still applies the default depth budget, so the parser is stack-safe
+// on hostile input everywhere. Analysis code parses through
+// pipeline.ParseFiles, which calls ParseInterned.
 func ParseGoverned(name, src string, rec *obs.Recorder, parent *obs.Span, gov *govern.Governor) *phpast.File {
 	return ParseInterned(name, src, rec, parent, gov, nil)
 }

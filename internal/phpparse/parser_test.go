@@ -9,10 +9,15 @@ import (
 	"repro/internal/phpast"
 )
 
+// parse is the plain (unobserved, ungoverned) parse the tests run.
+func parse(name, src string) *phpast.File {
+	return ParseGoverned(name, src, nil, nil, nil)
+}
+
 // mustParse parses src and fails the test on recorded errors.
 func mustParse(t *testing.T, src string) *phpast.File {
 	t.Helper()
-	f := Parse("test.php", src)
+	f := parse("test.php", src)
 	if len(f.Errors) > 0 {
 		t.Fatalf("parse errors: %v", f.Errors)
 	}
@@ -548,7 +553,7 @@ func TestParseErrorRecovery(t *testing.T) {
 	t.Parallel()
 	// Malformed input parses with errors but terminates and keeps later
 	// statements.
-	f := Parse("bad.php", `<?php $x = ; echo $ok;`)
+	f := parse("bad.php", `<?php $x = ; echo $ok;`)
 	if len(f.Errors) == 0 {
 		t.Fatal("expected parse errors")
 	}
@@ -610,7 +615,7 @@ func TestParseNeverPanicsOrHangs(t *testing.T) {
 		src := src
 		t.Run(fmt.Sprintf("%.20q", src), func(t *testing.T) {
 			t.Parallel()
-			f := Parse("x.php", src)
+			f := parse("x.php", src)
 			if f == nil {
 				t.Fatal("Parse returned nil")
 			}
@@ -624,7 +629,7 @@ func TestParseNeverPanicsOrHangs(t *testing.T) {
 func TestQuickParseTerminates(t *testing.T) {
 	t.Parallel()
 	f := func(body string) bool {
-		file := Parse("fuzz.php", "<?php "+body)
+		file := parse("fuzz.php", "<?php "+body)
 		return file != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 800}); err != nil {
@@ -638,7 +643,7 @@ func TestQuickStmtLinesWithinFile(t *testing.T) {
 	t.Parallel()
 	f := func(body string) bool {
 		src := "<?php\n" + body
-		file := Parse("fuzz.php", src)
+		file := parse("fuzz.php", src)
 		ok := true
 		phpast.InspectStmts(file.Stmts, func(n phpast.Node) bool {
 			if n.Pos() < 0 || n.Pos() > file.Lines+1 {
@@ -674,6 +679,6 @@ class Mail_Subscribe extends WP_Widget {
 `
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Parse("bench.php", src)
+		parse("bench.php", src)
 	}
 }

@@ -75,7 +75,7 @@ func TestPrecedenceGolden(t *testing.T) {
 	t.Parallel()
 	var b strings.Builder
 	for _, src := range precedenceCases() {
-		f := Parse("prec.php", "<?php "+src+";")
+		f := parse("prec.php", "<?php "+src+";")
 		line := src + " => "
 		if len(f.Stmts) != 1 {
 			line += fmt.Sprintf("<%d statements>", len(f.Stmts))

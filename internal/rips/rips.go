@@ -71,14 +71,8 @@ func (e *Engine) WithRecorder(rec *obs.Recorder) *Engine {
 	return &clone
 }
 
-// Analyze scans one plugin target file by file with a background
-// context and default budgets.
-func (e *Engine) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
-	return e.AnalyzeContext(context.Background(), target, nil)
-}
-
 // AnalyzeContext scans one plugin target under a context and resource
-// budgets (analyzer.ContextAnalyzer). Per-file analysis is
+// budgets (the analyzer.Analyzer contract). Per-file analysis is
 // crash-isolated; a halted governor stops the scan between files and
 // inside the backward-tracing recursion.
 func (e *Engine) AnalyzeContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, error) {

@@ -1,6 +1,7 @@
 package rips
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -9,10 +10,10 @@ import (
 // scan runs the default RIPS engine over one file.
 func scan(t *testing.T, src string) *analyzer.Result {
 	t.Helper()
-	res, err := NewDefault().Analyze(&analyzer.Target{
+	res, err := NewDefault().AnalyzeContext(context.Background(), &analyzer.Target{
 		Name:  "test-plugin",
 		Files: []analyzer.SourceFile{{Path: "plugin.php", Content: src}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -228,13 +229,13 @@ mysql_query("SELECT * FROM t WHERE a='$y'");`)
 
 func TestMultiFileIndependence(t *testing.T) {
 	t.Parallel()
-	res, err := NewDefault().Analyze(&analyzer.Target{
+	res, err := NewDefault().AnalyzeContext(context.Background(), &analyzer.Target{
 		Name: "multi",
 		Files: []analyzer.SourceFile{
 			{Path: "a.php", Content: `<?php echo $_GET['a'];`},
 			{Path: "b.php", Content: `<?php echo $_GET['b'];`},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -247,13 +248,13 @@ func TestMultiFileIndependence(t *testing.T) {
 func TestCrossFileFunctionResolution(t *testing.T) {
 	t.Parallel()
 	// Functions resolve target-wide even without include processing.
-	res, err := NewDefault().Analyze(&analyzer.Target{
+	res, err := NewDefault().AnalyzeContext(context.Background(), &analyzer.Target{
 		Name: "multi",
 		Files: []analyzer.SourceFile{
 			{Path: "lib.php", Content: `<?php function put($s) { echo $s; }`},
 			{Path: "main.php", Content: `<?php put($_GET['x']);`},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

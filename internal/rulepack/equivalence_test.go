@@ -2,6 +2,7 @@ package rulepack_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -39,11 +40,11 @@ func TestBuiltinPackEquivalence(t *testing.T) {
 		packEng := taint.New(packCfg, taint.DefaultOptions())
 		for _, c := range []*corpus.Corpus{c2012, c2014} {
 			for _, target := range c.Targets {
-				resGo, err := goEng.Analyze(target)
+				resGo, err := goEng.AnalyzeContext(context.Background(), target, nil)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: go profile: %v", tc.name, c.Version, target.Name, err)
 				}
-				resPack, err := packEng.Analyze(target)
+				resPack, err := packEng.AnalyzeContext(context.Background(), target, nil)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: pack: %v", tc.name, c.Version, target.Name, err)
 				}

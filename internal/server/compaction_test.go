@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analyzer"
 	"repro/internal/durable"
 	"repro/internal/govern"
 	"repro/internal/obs"
@@ -221,4 +222,85 @@ func TestSettleTimeSurvivesWALAndSnapshotReplay(t *testing.T) {
 
 	e3 := newJournalEnv(t, dir)
 	finished(e3, "the snapshot")
+}
+
+// A compaction that captures after Accept has registered a scan but
+// before the scan is journaled must leave it out: the pool may then
+// refuse the submission (429), and a snapshotted accepted record would
+// make replay resubmit work the client was told was rejected. The test
+// holds journalMu itself so the capture lands exactly in that window.
+func TestCompactionSkipsRejectedSubmission(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	j, _, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatalf("opening journal: %v", err)
+	}
+	t.Cleanup(func() { j.Close() })
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	e := newEnv(t, 1, 1, withBlockingAnalyzer(release, started), func(cfg *Config) {
+		cfg.Journal = j
+	})
+	var accepted []string
+	for i := 0; i < 2; i++ {
+		code, sc := e.submitJSON(t, submission(fmt.Sprintf("fill%d", i)))
+		if code != http.StatusAccepted {
+			t.Fatalf("fill %d = %d, want 202", i, code)
+		}
+		accepted = append(accepted, sc.ID)
+		if i == 0 {
+			<-started // the worker is busy; the next scan fills the queue
+		}
+	}
+
+	e.srv.journalMu.Lock()
+	status := make(chan int, 1)
+	go func() {
+		_, code, _ := e.srv.Accept(SubmitSpec{Name: "overflow", Target: &analyzer.Target{
+			Files: []analyzer.SourceFile{{Path: "overflow.php", Content: vulnerablePHP}},
+		}})
+		status <- code
+	}()
+	var rejected string
+	for deadline := time.Now().Add(10 * time.Second); rejected == ""; {
+		if time.Now().After(deadline) {
+			e.srv.journalMu.Unlock()
+			t.Fatal("the overflow submission was never registered")
+		}
+		e.srv.mu.Lock()
+		for id := range e.srv.scans {
+			if id != accepted[0] && id != accepted[1] {
+				rejected = id
+			}
+		}
+		e.srv.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	mark, live := e.srv.captureLocked()
+	e.srv.journalMu.Unlock()
+	if code := <-status; code != http.StatusTooManyRequests {
+		t.Fatalf("overflow submission = %d, want 429", code)
+	}
+	if err := j.CompactAt(mark, live); err != nil {
+		t.Fatalf("compacting: %v", err)
+	}
+	close(release)
+	for _, id := range accepted {
+		if done := e.wait(t, id); done.Status != stateDone {
+			t.Fatalf("scan %s = %s, want done", id, done.Status)
+		}
+	}
+	e.crash(t)
+
+	e2 := newJournalEnv(t, dir)
+	var replayed scanJSON
+	if code := e2.getJSON(t, "/v1/scans/"+rejected, &replayed); code != http.StatusNotFound {
+		t.Errorf("rejected scan %s after restart = %d %s, want 404", rejected, code, replayed.Status)
+	}
+	for _, id := range accepted {
+		if code := e2.getJSON(t, "/v1/scans/"+id, &replayed); code != http.StatusOK || replayed.Status != stateDone {
+			t.Errorf("accepted scan %s after restart = %d %s, want 200 done", id, code, replayed.Status)
+		}
+	}
 }

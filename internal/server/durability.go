@@ -150,27 +150,40 @@ func (s *Server) CompactJournal() {
 }
 
 // compactLocked runs one compaction; caller holds s.compactMu. Only the
-// capture holds journalMu and s.mu: the journal mark, then a value copy
-// of every retained scan and the extra live records. Building,
-// marshalling and writing the snapshot happen after both are released,
-// so appends and registry reads proceed meanwhile; the journal carries
-// whatever was appended after the mark into the fresh WAL.
+// capture holds journalMu and s.mu. Building, marshalling and writing
+// the snapshot happen after both are released, so appends and registry
+// reads proceed meanwhile; the journal carries whatever was appended
+// after the mark into the fresh WAL.
 func (s *Server) compactLocked() {
 	s.journalMu.Lock()
+	mark, live := s.captureLocked()
+	s.journalMu.Unlock()
+	if err := s.cfg.Journal.CompactAt(mark, live); err != nil {
+		s.rec.Counter("journal_compact_errors_total").Inc()
+	}
+}
+
+// captureLocked takes a compaction's consistent cut; caller holds
+// journalMu. It returns the journal mark and the live records as of
+// that mark: a value copy of every journaled or settled scan, then the
+// extra live records. A scan Accept registered but has not journaled
+// yet is left out — the pool may still refuse it, and its accepted
+// record, if it gets one, lands after the mark.
+func (s *Server) captureLocked() (durable.Mark, func(yield func(durable.Record) bool)) {
 	mark := s.cfg.Journal.Mark()
 	s.mu.Lock()
 	retained := make([]scan, 0, len(s.scans))
 	for _, sc := range s.scans {
-		retained = append(retained, *sc)
+		if sc.journaled || settledState(sc.State) {
+			retained = append(retained, *sc)
+		}
 	}
 	s.mu.Unlock()
 	var extra []durable.Record
 	if s.cfg.ExtraLiveRecords != nil {
 		extra = s.cfg.ExtraLiveRecords()
 	}
-	s.journalMu.Unlock()
-
-	err := s.cfg.Journal.CompactAt(mark, func(yield func(durable.Record) bool) {
+	return mark, func(yield func(durable.Record) bool) {
 		for i := range retained {
 			if !s.liveRecords(&retained[i], yield) {
 				return
@@ -181,9 +194,6 @@ func (s *Server) compactLocked() {
 				return
 			}
 		}
-	})
-	if err != nil {
-		s.rec.Counter("journal_compact_errors_total").Inc()
 	}
 }
 
@@ -236,6 +246,7 @@ func (s *Server) Replay(records []durable.Record) (resubmitted, rehydrated, quar
 		sc := &scan{
 			ID: st.ScanID, Tool: sub.Tool, Profile: sub.Profile,
 			Key: sub.Key, Created: sub.Created, Target: target, Opts: sub.Opts,
+			journaled: true,
 		}
 
 		if st.Settled() {

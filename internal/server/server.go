@@ -265,6 +265,12 @@ type scan struct {
 	// stitched into the trace endpoint's response.
 	span *obs.Span
 
+	// journaled marks a scan whose accepted record is in the journal.
+	// Accept registers a scan before it takes journalMu, so compaction
+	// may see a scan the pool is about to refuse; it snapshots only
+	// journaled or settled scans.
+	journaled bool
+
 	// resubmitted marks a scan re-owned by journal replay; the first
 	// dispatch after replay carries it so the fleet layer can adopt a
 	// still-running remote attempt instead of duplicating it. Cleared
@@ -683,6 +689,9 @@ func (s *Server) Accept(spec SubmitSpec) (id string, status int, body any) {
 	err = s.cfg.Pool.SubmitJob(s.scanJob(sc, 0))
 	if err == nil {
 		s.journalLocked(s.acceptedRecord(sc))
+		s.mu.Lock()
+		sc.journaled = true
+		s.mu.Unlock()
 	}
 	s.journalMu.Unlock()
 	if err != nil {

@@ -457,10 +457,6 @@ type ctxAnalyzer struct {
 
 func (c ctxAnalyzer) Name() string { return "ctxblocking" }
 
-func (c ctxAnalyzer) Analyze(t *analyzer.Target) (*analyzer.Result, error) {
-	return c.AnalyzeContext(context.Background(), t, nil)
-}
-
 func (c ctxAnalyzer) AnalyzeContext(ctx context.Context, t *analyzer.Target, _ *analyzer.ScanOptions) (*analyzer.Result, error) {
 	select {
 	case c.started <- struct{}{}:

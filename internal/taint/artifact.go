@@ -3,8 +3,8 @@ package taint
 // Incremental-analysis support: per-file replayable results and portable
 // (serializable) function summaries. internal/incremental plans which
 // files of a snapshot may be reused from a previous scan and calls
-// AnalyzeIncremental with a Seed; everything here keeps that warm path
-// byte-identical to a cold Analyze.
+// AnalyzeSeeded with a Seed; everything here keeps that warm path
+// byte-identical to a cold AnalyzeContext.
 //
 // The soundness contract is the planner's: a file may only be skipped
 // when every file it could interact with — via includes, cross-file
@@ -17,7 +17,6 @@ package taint
 // summarization and top-level flows with their recorded outcomes.
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -84,32 +83,22 @@ type PortableSummary struct {
 	Flows []PortableFlow `json:"flows,omitempty"`
 }
 
-// AnalyzeIncremental scans target like Analyze, replaying the seeded
-// files instead of re-analyzing them, and additionally returns the
-// per-file artifacts of every file it did analyze (for write-back into
-// the store). A nil seed makes it a cold scan that still exports
-// artifacts.
-func (e *Engine) AnalyzeIncremental(target *analyzer.Target, seed *Seed) (*analyzer.Result, map[string]*FileResult, error) {
-	return e.analyze(context.Background(), target, nil, seed, true)
-}
-
-// AnalyzeIncrementalContext is AnalyzeIncremental under a context and
-// resource budgets. A scan touched by any budget — truncation,
-// cancellation, a recovered panic — exports no artifacts: partial
-// per-file results must never be written back as reusable state.
-func (e *Engine) AnalyzeIncrementalContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions, seed *Seed) (*analyzer.Result, map[string]*FileResult, error) {
-	return e.analyze(ctx, target, opts, seed, true)
-}
-
-// analyze is the shared scan pipeline behind Analyze, AnalyzeContext
-// and the incremental entry points.
-func (e *Engine) analyze(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions, seed *Seed, export bool) (*analyzer.Result, map[string]*FileResult, error) {
+// AnalyzeSeeded is the incremental entry point: it scans target under
+// gov — a governor the caller built for the whole scan, so planning and
+// analysis share one deadline and step budget — with fileWorkers
+// parse workers, replaying the seeded files instead of re-analyzing
+// them, and returns the per-file artifacts of every file it did analyze
+// (for write-back into the store). A scan touched by any budget —
+// truncation, cancellation, a recovered panic — exports no artifacts:
+// partial per-file results must never be written back as reusable
+// state. A nil seed is a plain cold scan that exports nothing.
+func (e *Engine) AnalyzeSeeded(gov *govern.Governor, target *analyzer.Target, fileWorkers int, seed *Seed) (*analyzer.Result, map[string]*FileResult, error) {
 	if target == nil {
 		return nil, nil, fmt.Errorf("taint: nil target")
 	}
 	a := newAnalysis(e, target)
-	a.gov = govern.New(ctx, opts, e.rec)
-	a.fileWorkers = opts.EffectiveFileWorkers()
+	a.gov = gov
+	a.fileWorkers = fileWorkers
 	if seed != nil {
 		a.skip = seed.Skip
 		a.preparsed = seed.Parsed
@@ -128,7 +117,7 @@ func (e *Engine) analyze(ctx context.Context, target *analyzer.Target, opts *ana
 	scan.End()
 	a.flushStats()
 	var arts map[string]*FileResult
-	if export && err == nil && !a.result.Truncated && len(a.result.RobustnessFailures) == 0 {
+	if seed != nil && err == nil && !a.result.Truncated && len(a.result.RobustnessFailures) == 0 {
 		arts = a.exportArtifacts()
 	}
 	return a.result, arts, err

@@ -117,21 +117,13 @@ type scanStats struct {
 	sinkChecks       int64
 }
 
-// Analyze scans one plugin target with a background context and default
-// budgets. It is a thin adapter over AnalyzeContext for callers that
-// need neither cancellation nor custom budgets.
-func (e *Engine) Analyze(target *analyzer.Target) (*analyzer.Result, error) {
-	return e.AnalyzeContext(context.Background(), target, nil)
-}
-
 // AnalyzeContext scans one plugin target under a context and resource
-// budgets (the context-first contract, see analyzer.ContextAnalyzer).
-// Cancellation returns the partial result plus an error wrapping
-// ctx.Err(); exhausted budgets return a partial result flagged
-// Truncated with a nil error; per-file panics and time-slice overruns
-// fail only the affected file.
+// budgets (the analyzer.Analyzer contract). Cancellation returns the
+// partial result plus an error wrapping ctx.Err(); exhausted budgets
+// return a partial result flagged Truncated with a nil error; per-file
+// panics and time-slice overruns fail only the affected file.
 func (e *Engine) AnalyzeContext(ctx context.Context, target *analyzer.Target, opts *analyzer.ScanOptions) (*analyzer.Result, error) {
-	res, _, err := e.analyze(ctx, target, opts, nil, false)
+	res, _, err := e.AnalyzeSeeded(govern.New(ctx, opts, e.rec), target, opts.EffectiveFileWorkers(), nil)
 	return res, err
 }
 
@@ -264,9 +256,9 @@ type analysis struct {
 	stats scanStats
 
 	// gov enforces the scan's context and resource budgets; checkpoints
-	// in the interpreter and the model stage consult it. Never nil — an
-	// ungoverned call path gets a background-context governor with
-	// default budgets.
+	// in the interpreter and the model stage consult it. Nil (every
+	// method tolerates it) for Model and for an AnalyzeSeeded caller
+	// that passes none.
 	gov *govern.Governor
 	// fileWorkers sizes the parallel parse front end (see
 	// ScanOptions.FileWorkers); 1 means strictly serial.

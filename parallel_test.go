@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +24,9 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/govern"
+	"repro/internal/incremental"
 	"repro/internal/report"
+	"repro/internal/taint"
 )
 
 // renderScan runs one engine over one target at the given worker count
@@ -62,19 +65,14 @@ func TestFileWorkersDifferential(t *testing.T) {
 		{"rips", "generic"},
 		{"rips", "wordpress,security-extended"},
 		{"pixy", "wordpress"}, // pixy ignores packs; included for the CLI surface
+		{"phpsafe-incremental", "wordpress"},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
 		t.Run(cfg.tool+"/"+cfg.packs, func(t *testing.T) {
 			t.Parallel()
-			serialEng, err := eval.BuildTool(cfg.tool, cfg.packs, eval.ToolOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallelEng, err := eval.BuildTool(cfg.tool, cfg.packs, eval.ToolOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			serialEng := differentialTool(t, cfg.tool, cfg.packs)
+			parallelEng := differentialTool(t, cfg.tool, cfg.packs)
 			for _, target := range c14.Targets {
 				serialJSON, serialSARIF := renderScan(t, serialEng, target, 1)
 				parallelJSON, parallelSARIF := renderScan(t, parallelEng, target, 8)
@@ -88,6 +86,27 @@ func TestFileWorkersDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// differentialTool builds one tool of the file-workers differential.
+// "phpsafe-incremental" is the phpSAFE engine behind the incremental
+// analyzer over a fresh memory store, the path phpsafed scans through,
+// so the planner's parse runs at the same worker count.
+func differentialTool(t *testing.T, tool, packs string) analyzer.Analyzer {
+	t.Helper()
+	name, incr := strings.CutSuffix(tool, "-incremental")
+	eng, err := eval.BuildTool(name, packs, eval.ToolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !incr {
+		return eng
+	}
+	store, err := incremental.NewStore("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return incremental.New(eng.(*taint.Engine), store, "differential", nil)
 }
 
 // TestParallelFaultDeterminism injects crashes into two files of one
